@@ -1,25 +1,24 @@
 """Adaptive P1 finite elements for the first Dirichlet p-Laplacian eigenpair.
 
-The package is organized bottom-up: `mesh` (triangulations and bisection
-refinement), `fem` (P1 assembly, solves, norms), `plap` (the splitting
-solver for the quasilinear source problem), `eigen` (inverse power
-iteration for the first eigenpair), `estimator` (residual indicators and
-bulk marking), `driver` (the adaptive loop), and `io`/`cli` (file formats
-and the command-line front end).
+The package is organized bottom-up: `mesh` (triangulations, bisection
+refinement and per-mesh geometry), `fem` (P1 assembly, the factorized
+Dirichlet solve, norms), `plap` (the splitting solver for the quasilinear
+source problem), `eigen` (the torsion start and inverse power iteration for
+the first eigenpair), `estimator` (residual indicators and bulk marking),
+`driver` (the adaptive loop), and `io`/`cli` (file formats and the
+command-line front end; `python -m plapeig` runs the latter).
 """
 
 from .mesh import (Mesh, EdgeTable, MeshConformityError, edge_table,
                    generate_disk, generate_lshape, generate_unit_square,
-                   mesh_sizes, prolong_vertex_values, refine, refine_uniform)
+                   prolong_vertex_values, refine, refine_uniform)
 from .fem import (DEGREE5, DirichletFactor, P1Function, QuadRule, SolverError,
                   assemble_rhs, assemble_stiffness, grad, lp_norm, p_flux,
-                  rayleigh, solve_dirichlet, solve_dirichlet_dense, sup_norm,
-                  w1p_seminorm_p)
-from .plap import (DCReport, DCState, DCWorkspace, dc_solve, nu_update,
-                   random_fields, resolvent, resolvent_many)
+                  rayleigh, sup_norm, w1p_seminorm_p)
+from .plap import (DCReport, DCWorkspace, dc_solve, nu_update, random_fields,
+                   resolvent_many)
 from .eigen import EigenResult, iiss, torsion
-from .estimator import IndicatorSet, dorfler_mark, element_indicator, \
-    estimate_all
+from .estimator import IndicatorSet, dorfler_mark, estimate_all
 from .driver import AfemConfig, ConvergenceLog, LogRow, initial_mesh, run_afem
 from .io import (MeshFormatError, load_mesh, read_convergence_csv, save_mesh,
                  write_convergence_csv, write_vtk)
@@ -28,16 +27,15 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Mesh", "EdgeTable", "MeshConformityError", "edge_table", "generate_disk",
-    "generate_lshape", "generate_unit_square", "mesh_sizes",
+    "generate_lshape", "generate_unit_square",
     "prolong_vertex_values", "refine", "refine_uniform",
     "DEGREE5", "DirichletFactor", "P1Function", "QuadRule", "SolverError",
     "assemble_rhs", "assemble_stiffness", "grad", "lp_norm", "p_flux",
-    "rayleigh", "solve_dirichlet", "solve_dirichlet_dense", "sup_norm",
-    "w1p_seminorm_p",
-    "DCReport", "DCState", "DCWorkspace", "dc_solve", "nu_update",
-    "random_fields", "resolvent", "resolvent_many",
+    "rayleigh", "sup_norm", "w1p_seminorm_p",
+    "DCReport", "DCWorkspace", "dc_solve", "nu_update", "random_fields",
+    "resolvent_many",
     "EigenResult", "iiss", "torsion",
-    "IndicatorSet", "dorfler_mark", "element_indicator", "estimate_all",
+    "IndicatorSet", "dorfler_mark", "estimate_all",
     "AfemConfig", "ConvergenceLog", "LogRow", "initial_mesh", "run_afem",
     "MeshFormatError", "load_mesh", "read_convergence_csv", "save_mesh",
     "write_convergence_csv", "write_vtk",

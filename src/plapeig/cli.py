@@ -12,22 +12,13 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
-from . import driver, eigen, estimator, fem, io, plap
+from . import driver, eigen, estimator, fem, io
 from .driver import AfemConfig
 from .mesh import edge_table
 from .plap import DEFAULT_SEED
-
-
-@dataclass
-class CliInvocation:
-    """Validated invocation: subcommand plus its parsed argument namespace."""
-
-    subcommand: str
-    args: argparse.Namespace
 
 
 class UsageError(Exception):
@@ -110,7 +101,7 @@ def build_parser() -> _Parser:
     return parser
 
 
-def parse_cli(argv: list[str]) -> CliInvocation:
+def parse_cli(argv: list[str]) -> argparse.Namespace:
     """Parse and validate; raises UsageError naming the offending flag."""
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -124,7 +115,7 @@ def parse_cli(argv: list[str]) -> CliInvocation:
     for flag in ("max_dc", "max_iiss", "max_loops"):
         if getattr(args, flag, 1) < 1:
             raise UsageError(f"--{flag.replace('_', '-')} must be at least 1")
-    return CliInvocation(subcommand=args.subcommand, args=args)
+    return args
 
 
 def _mesh_from_args(args) -> "driver.Mesh":
@@ -166,12 +157,8 @@ def _cmd_mesh(args) -> int:
 
 def _cmd_solve_plap(args) -> int:
     mesh = _mesh_from_args(args)
-    u, report = plap.dc_solve(mesh, 1.0, args.p_exp, eps_n=args.eps_n,
-                              max_iter=args.max_dc, seed=args.seed)
-    if not report.converged:
-        print(f"solver stalled: relative change {report.rel_change:.3e} "
-              f"after {report.iterations} sweeps", file=sys.stderr)
-        return 2
+    u, report = eigen.torsion(mesh, args.p_exp, eps_n=args.eps_n,
+                              seed=args.seed, max_dc=args.max_dc)
     print(f"sweeps={report.iterations} max(u)={np.max(u.coeffs):.8g} "
           f"consistency={report.consistency:.3e}")
     if args.out:
@@ -206,13 +193,13 @@ def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.INFO,
                         format="%(levelname)s %(name)s: %(message)s")
     try:
-        inv = parse_cli(list(sys.argv[1:] if argv is None else argv))
+        args = parse_cli(list(sys.argv[1:] if argv is None else argv))
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 1
     try:
-        return _COMMANDS[inv.subcommand](inv.args)
-    except (ValueError, io.MeshFormatError, OSError) as err:
+        return _COMMANDS[args.subcommand](args)
+    except (ValueError, OSError) as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 1
     except fem.SolverError as err:
@@ -222,3 +209,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def entry() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entry()

@@ -1,9 +1,10 @@
 """First Dirichlet eigenpair of the p-Laplacian by normalized inverse iteration.
 
-Starting from the torsion solution of -div(|grad u|^{p-2} grad u) = 1, each
-sweep solves the same quasilinear problem with right-hand side
-(max(u, 0) / ||u||_inf)^{p-1} built from the previous iterate and reads off
-the eigenvalue estimate 1 / ||u||_inf^{p-1}.  The iteration stops once the
+Starting from the torsion solution of -div(|grad u|^{p-2} grad u) = 1
+(`torsion`, also behind the command line's solve-plap), each sweep solves
+the same quasilinear problem with right-hand side (max(u, 0) /
+||u||_inf)^{p-1} built from the previous iterate and reads off the
+eigenvalue estimate 1 / ||u||_inf^{p-1}.  The iteration stops once the
 relative eigenvalue change drops below a tolerance.  The headline eigenvalue
 reported alongside is the Rayleigh quotient of the L^p-normalized iterate,
 which bounds the continuous first eigenvalue from above on conforming
@@ -18,9 +19,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fem, plap
-from .fem import DEGREE5, P1Function, QuadRule, SolverError
+from .fem import P1Function, SolverError
 from .mesh import Mesh
-from .plap import DCWorkspace, DEFAULT_SEED
+from .plap import DCReport, DCWorkspace, DEFAULT_SEED
 
 log = logging.getLogger(__name__)
 
@@ -55,23 +56,28 @@ class EigenResult:
     min_vertex_value: float = 0.0
 
 
-def torsion(mesh: Mesh, p: float, eps_n: float = 1e-5, seed: int = DEFAULT_SEED,
-            max_dc: int = 500, quad: QuadRule = DEGREE5,
-            workspace: DCWorkspace | None = None) -> P1Function:
-    """Solution of -div(|grad u|^{p-2} grad u) = 1 with zero boundary data."""
+def torsion(mesh: Mesh, p: float, eps_n: float = 1e-5,
+            seed: int = DEFAULT_SEED, max_dc: int = 500,
+            workspace: DCWorkspace | None = None
+            ) -> tuple[P1Function, DCReport]:
+    """Solution of -div(|grad u|^{p-2} grad u) = 1 with zero boundary data,
+    with the report of its splitting solve.
+
+    Raises SolverError if the splitting solve does not converge within
+    max_dc sweeps.
+    """
     u, report = plap.dc_solve(mesh, 1.0, p, eps_n=eps_n, max_iter=max_dc,
-                              seed=seed, quad=quad, workspace=workspace)
+                              seed=seed, workspace=workspace)
     if not report.converged:
-        raise SolverError(f"torsion solve did not converge within {max_dc} "
+        raise SolverError(f"torsion start did not converge within {max_dc} "
                           f"sweeps (relative change {report.rel_change:.3e})",
                           residual=report.rel_change)
-    return u
+    return u, report
 
 
 def iiss(mesh: Mesh, p: float, eps_m: float = 1e-5, max_m: int = 200,
          eps_n: float = 1e-5, seed: int = DEFAULT_SEED, max_dc: int = 500,
          u0: P1Function | None = None, lambda0: float | None = None,
-         quad: QuadRule = DEGREE5,
          workspace: DCWorkspace | None = None) -> EigenResult:
     """Inverse power iteration for the first eigenpair.
 
@@ -88,18 +94,14 @@ def iiss(mesh: Mesh, p: float, eps_m: float = 1e-5, max_m: int = 200,
     if not np.any(~mesh.boundary_vertex):
         raise ValueError("mesh has no interior vertices; the trial space is "
                          "trivial")
-    ws = workspace if workspace is not None else DCWorkspace(mesh, quad)
+    ws = workspace if workspace is not None else DCWorkspace(mesh)
 
     dc_total = 0
     warm = None
     if u0 is None:
-        u, report = plap.dc_solve(mesh, 1.0, p, eps_n=eps_n, max_iter=max_dc,
-                                  seed=seed, quad=quad, workspace=ws)
+        u, report = torsion(mesh, p, eps_n=eps_n, seed=seed, max_dc=max_dc,
+                            workspace=ws)
         dc_total += report.iterations
-        if not report.converged:
-            raise SolverError("torsion start did not converge "
-                              f"(relative change {report.rel_change:.3e})",
-                              residual=report.rel_change)
         warm = (report.xi, report.nu)
     else:
         if u0.mesh is not mesh:
@@ -119,12 +121,11 @@ def iiss(mesh: Mesh, p: float, eps_m: float = 1e-5, max_m: int = 200,
     while m < max_m:
         m += 1
         s = fem.sup_norm(u)
-        vals = fem.p1_at_quad(u, quad)
+        vals = fem.p1_at_quad(u)
         f_vals = (np.maximum(vals, 0.0) / s) ** (p - 1.0)
         u_new, report = plap.dc_solve(mesh, f_vals, p, eps_n=eps_n,
                                       max_iter=max_dc,
-                                      init=warm, seed=seed, quad=quad,
-                                      workspace=ws)
+                                      init=warm, seed=seed, workspace=ws)
         dc_total += report.iterations
         if not report.converged:
             raise SolverError(f"inner splitting solve stalled at sweep m={m}, "
@@ -146,9 +147,9 @@ def iiss(mesh: Mesh, p: float, eps_m: float = 1e-5, max_m: int = 200,
 
     s = fem.sup_norm(u)
     u_sup = P1Function(mesh, u.coeffs / s)
-    lpn = fem.lp_norm(u_sup, p, quad)
+    lpn = fem.lp_norm(u_sup, p)
     u_lp = P1Function(mesh, u_sup.coeffs / lpn)
-    mu = fem.rayleigh(u_lp, p, quad)
+    mu = fem.rayleigh(u_lp, p)
     return EigenResult(
         lambda_iiss=float(lam),
         u_sup=u_sup,

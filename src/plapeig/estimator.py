@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fem
-from .fem import DEGREE5, P1Function, QuadRule
+from .fem import DEGREE5, P1Function
 from .mesh import EdgeTable, Mesh
 
 
@@ -40,12 +40,12 @@ class IndicatorSet:
         object.__setattr__(self, "eta_q", e)
 
 
-def _element_terms(mesh: Mesh, mu: float, u: P1Function, p: float,
-                   quad: QuadRule) -> np.ndarray:
+def _element_terms(mesh: Mesh, mu: float, u: P1Function,
+                   p: float) -> np.ndarray:
     """h_T^q |mu|^q int_T |u|^p for every element."""
     q = p / (p - 1.0)
-    vals = fem.p1_at_quad(u, quad)
-    int_up = mesh.areas * (np.abs(vals) ** p @ quad.weights)
+    vals = fem.p1_at_quad(u)
+    int_up = mesh.areas * (np.abs(vals) ** p @ DEGREE5.weights)
     h_t = np.sqrt(mesh.areas)
     return h_t ** q * abs(mu) ** q * int_up
 
@@ -63,12 +63,12 @@ def _jump_terms(mesh: Mesh, edges: EdgeTable, u: P1Function,
 
 
 def estimate_all(mesh: Mesh, edges: EdgeTable, mu: float, u: P1Function,
-                 p: float, quad: QuadRule = DEGREE5) -> IndicatorSet:
+                 p: float) -> IndicatorSet:
     """Indicator of every element; each interior edge contributes its jump
     term to both adjacent elements."""
     if p <= 1:
         raise ValueError("p must exceed 1")
-    eta = _element_terms(mesh, mu, u, p, quad)
+    eta = _element_terms(mesh, mu, u, p)
     jumps = _jump_terms(mesh, edges, u, p)
     np.add.at(eta, edges.int_tri_plus, jumps)
     np.add.at(eta, edges.int_tri_minus, jumps)
@@ -80,17 +80,6 @@ def estimate_all(mesh: Mesh, edges: EdgeTable, mu: float, u: P1Function,
         mu=float(mu),
         argmax_element=int(np.argmax(eta)),
     )
-
-
-def element_indicator(mesh: Mesh, edges: EdgeTable, mu: float, u: P1Function,
-                      T: int, p: float, quad: QuadRule = DEGREE5) -> float:
-    """Indicator (q-th power) of a single element."""
-    if not 0 <= T < mesh.num_triangles:
-        raise ValueError(f"element index {T} out of range")
-    value = float(_element_terms(mesh, mu, u, p, quad)[T])
-    jumps = _jump_terms(mesh, edges, u, p)
-    mine = (edges.int_tri_plus == T) | (edges.int_tri_minus == T)
-    return value + float(jumps[mine].sum())
 
 
 def dorfler_mark(ind: IndicatorSet, theta: float) -> np.ndarray:

@@ -1,10 +1,11 @@
 """P1 finite-element primitives on triangle meshes.
 
-Covers quadrature on the reference triangle, stiffness and load assembly,
-homogeneous-Dirichlet solves, elementwise gradients, and the p-dependent
-norms building the Rayleigh quotient.  Integrands like |u|^p with fractional
-p are handled by a degree-5 symmetric rule; everything polynomial of degree
-at most 5 is integrated exactly.
+Covers the quadrature rule on the reference triangle, stiffness and load
+assembly, the factorized homogeneous-Dirichlet solve, elementwise gradients,
+and the p-dependent norms building the Rayleigh quotient.  Every element
+integral uses the degree-5 symmetric rule DEGREE5: everything polynomial of
+degree at most 5 is integrated exactly, and integrands like |u|^p with
+fractional p approximately.
 
 Piecewise-constant vector fields (gradients, fluxes, the splitting solver's
 auxiliary fields) are plain (nt, 2) arrays, one 2-vector per triangle.
@@ -85,50 +86,10 @@ class P1Function:
         object.__setattr__(self, "coeffs", c)
 
 
-def p1_gradients(mesh: Mesh) -> np.ndarray:
-    """Gradients of the three nodal basis functions per triangle, (nt, 3, 2)."""
-    pts = mesh.vertices[mesh.triangles]      # (nt, 3, 2)
-    g = np.empty_like(pts)
-    for i in range(3):
-        e = pts[:, (i + 2) % 3] - pts[:, (i + 1) % 3]  # edge opposite vertex i
-        g[:, i, 0] = -e[:, 1]
-        g[:, i, 1] = e[:, 0]
-    g /= (2.0 * mesh.areas)[:, None, None]
-    return g
-
-
-def quad_points(mesh: Mesh, quad: QuadRule = DEGREE5) -> np.ndarray:
-    """Physical quadrature point coordinates, (nt, nq, 2)."""
-    pts = mesh.vertices[mesh.triangles]           # (nt, 3, 2)
-    return np.einsum("qj,tjd->tqd", quad.points, pts)
-
-
-def p1_at_quad(u: P1Function, quad: QuadRule = DEGREE5) -> np.ndarray:
+def p1_at_quad(u: P1Function) -> np.ndarray:
     """Values of u at the quadrature points of every triangle, (nt, nq)."""
     nodal = u.coeffs[u.mesh.triangles]            # (nt, 3)
-    return nodal @ quad.points.T
-
-
-def field_at_quad(mesh: Mesh, f, quad: QuadRule = DEGREE5) -> np.ndarray:
-    """Coerce a scalar field to values at quadrature points, (nt, nq).
-
-    Accepts a constant, a vectorized callable f(x, y), an (nt, nq) array, or
-    an (nt,) array of per-element constants.
-    """
-    nt, nq = mesh.num_triangles, len(quad.weights)
-    if np.isscalar(f):
-        return np.full((nt, nq), float(f))
-    if callable(f):
-        xy = quad_points(mesh, quad)
-        vals = np.asarray(f(xy[..., 0], xy[..., 1]), dtype=np.float64)
-        return np.broadcast_to(vals, (nt, nq)).copy()
-    arr = np.asarray(f, dtype=np.float64)
-    if arr.shape == (nt, nq):
-        return arr
-    if arr.shape == (nt,):
-        return np.broadcast_to(arr[:, None], (nt, nq)).copy()
-    raise ValueError(f"cannot interpret field of shape {arr.shape}; "
-                     f"expected scalar, callable, ({nt},) or ({nt}, {nq})")
+    return nodal @ DEGREE5.points.T
 
 
 def assemble_stiffness(mesh: Mesh) -> sp.csr_matrix:
@@ -138,7 +99,7 @@ def assemble_stiffness(mesh: Mesh) -> sp.csr_matrix:
     definite once boundary rows/columns are eliminated.
     """
     areas = mesh.areas  # raises on degenerate triangles
-    g = p1_gradients(mesh)
+    g = mesh.basis_gradients
     local = np.einsum("tid,tjd->tij", g, g) * areas[:, None, None]
     tri = mesh.triangles
     rows = np.repeat(tri, 3, axis=1).ravel()
@@ -148,114 +109,49 @@ def assemble_stiffness(mesh: Mesh) -> sp.csr_matrix:
     return K.tocsr()
 
 
-def assemble_rhs(mesh: Mesh, f, g=None, quad: QuadRule = DEGREE5) -> np.ndarray:
-    """Load vector b_i = sum_T [ int_T f phi_i - |T| g_T . grad(phi_i) ].
+def assemble_rhs(mesh: Mesh, f) -> np.ndarray:
+    """Load vector b_i = sum_T int_T f phi_i.
 
-    f is a scalar field (see field_at_quad); g is an optional piecewise
-    constant vector field, one 2-vector per triangle.
+    f is a constant or its values at the quadrature points, (nt, nq).
     """
-    fq = field_at_quad(mesh, f, quad)
-    areas = mesh.areas
+    nt, nq = mesh.num_triangles, len(DEGREE5.weights)
+    if np.isscalar(f):
+        fq = np.full((nt, nq), float(f))
+    else:
+        fq = np.asarray(f, dtype=np.float64)
+        if fq.shape != (nt, nq):
+            raise ValueError(f"cannot interpret field of shape {fq.shape}; "
+                             f"expected scalar or ({nt}, {nq})")
     # int_T f phi_i by quadrature; phi_i at a quad point is its barycentric
     # coordinate.
-    contrib = np.einsum("tq,qi,t->ti", fq, quad.points * quad.weights[:, None],
-                        areas)
-    if g is not None:
-        g = np.asarray(g, dtype=np.float64)
-        if g.shape != (mesh.num_triangles, 2):
-            raise ValueError("g must have one 2-vector per triangle")
-        grads = p1_gradients(mesh)
-        contrib = contrib - areas[:, None] * np.einsum("td,tid->ti", g, grads)
+    contrib = np.einsum("tq,qi,t->ti", fq,
+                        DEGREE5.points * DEGREE5.weights[:, None], mesh.areas)
     b = np.zeros(mesh.num_vertices)
     np.add.at(b, mesh.triangles.ravel(), contrib.ravel())
     return b
 
 
-def _interior_system(K: sp.spmatrix, b: np.ndarray, boundary: np.ndarray):
-    boundary = np.asarray(boundary, dtype=bool)
-    if K.shape[0] != K.shape[1] or K.shape[0] != len(boundary):
-        raise ValueError("matrix and boundary mask sizes disagree")
-    if len(b) != len(boundary):
-        raise ValueError("right-hand side and boundary mask sizes disagree")
-    idx = np.nonzero(~boundary)[0]
-    A = K.tocsr()[idx][:, idx]
-    return idx, A, np.asarray(b, dtype=np.float64)[idx]
-
-
-def _pcg(A: sp.csr_matrix, b: np.ndarray, rtol: float, maxiter: int):
-    """Conjugate gradients with Jacobi preconditioning."""
-    d = A.diagonal()
-    if np.any(d <= 0):
-        raise SolverError("system matrix has a non-positive diagonal entry")
-    inv_d = 1.0 / d
-    x = np.zeros_like(b)
-    r = b.copy()
-    bnorm = np.linalg.norm(b)
-    if bnorm == 0.0:
-        return x, 0
-    z = inv_d * r
-    p = z
-    rz = r @ z
-    for k in range(maxiter):
-        if np.linalg.norm(r) <= rtol * bnorm:
-            return x, k
-        Ap = A @ p
-        alpha = rz / (p @ Ap)
-        x = x + alpha * p
-        r = r - alpha * Ap
-        z = inv_d * r
-        rz_new = r @ z
-        p = z + (rz_new / rz) * p
-        rz = rz_new
-    res = np.linalg.norm(b - A @ x) / bnorm
-    if res <= rtol:
-        return x, maxiter
-    raise SolverError(f"conjugate gradients stalled at relative residual "
-                      f"{res:.3e} after {maxiter} iterations", residual=res)
-
-
-def solve_dirichlet(K: sp.spmatrix, b: np.ndarray, boundary: np.ndarray,
-                    rtol: float = 1e-10) -> np.ndarray:
-    """Solve K u = b on interior vertices with u = 0 on boundary vertices.
-
-    Uses Jacobi-preconditioned conjugate gradients on the interior block with
-    an iteration cap of 20 N; guarantees a relative residual of at most rtol
-    or raises SolverError carrying the achieved residual.
-    """
-    idx, A, bi = _interior_system(K, b, boundary)
-    u = np.zeros(len(boundary))
-    if len(idx) == 0:
-        return u
-    x, _ = _pcg(A, bi, rtol, maxiter=max(20 * len(idx), 50))
-    u[idx] = x
-    return u
-
-
-def solve_dirichlet_dense(K: sp.spmatrix, b: np.ndarray,
-                          boundary: np.ndarray) -> np.ndarray:
-    """Direct dense solve of the interior system; oracle for small meshes."""
-    idx, A, bi = _interior_system(K, b, boundary)
-    if len(idx) > 500:
-        raise ValueError("dense fallback is limited to 500 unknowns")
-    u = np.zeros(len(boundary))
-    if len(idx):
-        u[idx] = np.linalg.solve(A.toarray(), bi)
-    return u
+#: Relative residual every factorized solve is checked against.
+SOLVE_RTOL = 1e-10
 
 
 class DirichletFactor:
     """Cached sparse LU factorization of the interior stiffness block.
 
-    Serves the repeated solves of the nonlinear iteration: one factorization
-    per mesh, then one cheap triangular solve per right-hand side.  Every
-    solve is verified against the same relative-residual contract as
-    solve_dirichlet.
+    Solves K u = b on interior vertices with u = 0 on boundary vertices:
+    one factorization per mesh, then one cheap triangular solve per
+    right-hand side.  Every solve guarantees a relative residual of at most
+    SOLVE_RTOL on the interior block or raises SolverError carrying the
+    achieved residual.
     """
 
-    def __init__(self, K: sp.spmatrix, boundary: np.ndarray, rtol: float = 1e-10):
-        self.idx, self._A, _ = _interior_system(K, np.zeros(K.shape[0]), boundary)
+    def __init__(self, K: sp.spmatrix, boundary: np.ndarray):
+        boundary = np.asarray(boundary, dtype=bool)
+        if K.shape[0] != K.shape[1] or K.shape[0] != len(boundary):
+            raise ValueError("matrix and boundary mask sizes disagree")
+        self.idx = np.nonzero(~boundary)[0]
+        self._A = K.tocsr()[self.idx][:, self.idx]
         self.n = K.shape[0]
-        self.rtol = rtol
         self._lu = spla.splu(self._A.tocsc()) if len(self.idx) else None
 
     def solve(self, b: np.ndarray) -> np.ndarray:
@@ -268,7 +164,7 @@ class DirichletFactor:
             return u
         x = self._lu.solve(bi)
         res = np.linalg.norm(bi - self._A @ x) / bnorm
-        if res > self.rtol:
+        if res > SOLVE_RTOL:
             raise SolverError(f"factorized solve exceeded residual tolerance: "
                               f"{res:.3e}", residual=res)
         u[self.idx] = x
@@ -277,9 +173,8 @@ class DirichletFactor:
 
 def grad(u: P1Function) -> np.ndarray:
     """Elementwise gradient of a P1 function, (nt, 2)."""
-    g = p1_gradients(u.mesh)
     nodal = u.coeffs[u.mesh.triangles]
-    return np.einsum("ti,tid->td", nodal, g)
+    return np.einsum("ti,tid->td", nodal, u.mesh.basis_gradients)
 
 
 def p_flux(field: np.ndarray, p: float) -> np.ndarray:
@@ -296,12 +191,12 @@ def p_flux(field: np.ndarray, p: float) -> np.ndarray:
     return fac[..., None] * w
 
 
-def lp_norm(u: P1Function, p: float, quad: QuadRule = DEGREE5) -> float:
+def lp_norm(u: P1Function, p: float) -> float:
     """L^p norm of u by elementwise quadrature."""
     if p <= 1:
         raise ValueError("p must exceed 1")
-    vals = p1_at_quad(u, quad)
-    total = float(np.einsum("tq,q,t->", np.abs(vals) ** p, quad.weights,
+    vals = p1_at_quad(u)
+    total = float(np.einsum("tq,q,t->", np.abs(vals) ** p, DEGREE5.weights,
                             u.mesh.areas))
     return total ** (1.0 / p)
 
@@ -319,9 +214,9 @@ def w1p_seminorm_p(u: P1Function, p: float) -> float:
     return float(np.dot(u.mesh.areas, gn ** p))
 
 
-def rayleigh(u: P1Function, p: float, quad: QuadRule = DEGREE5) -> float:
+def rayleigh(u: P1Function, p: float) -> float:
     """Rayleigh quotient int |grad u|^p / int |u|^p."""
-    denom = lp_norm(u, p, quad)
+    denom = lp_norm(u, p)
     if denom == 0.0:
         raise ValueError("Rayleigh quotient undefined for the zero function")
     return w1p_seminorm_p(u, p) / denom ** p

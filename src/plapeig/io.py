@@ -97,7 +97,6 @@ def load_mesh(path: str) -> Mesh:
 
     return Mesh(vertices=vertices, triangles=triangles,
                 boundary_vertex=boundary,
-                generation=np.zeros(nt, dtype=np.int64),
                 parent=np.full(nt, -1, dtype=np.int64))
 
 

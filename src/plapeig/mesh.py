@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 
-class MeshConformityError(Exception):
+class MeshConformityError(ValueError):
     """Raised when a triangulation is not a conforming 2-manifold mesh."""
 
 
@@ -29,7 +29,6 @@ class Mesh:
     triangles       (nt, 3) int64, counterclockwise, refinement edge opposite
                     local vertex 0
     boundary_vertex (nv,) bool
-    generation      (nt,) int64 bisection depth relative to the root mesh
     parent          (nt,) int64 index of the ancestor triangle in the mesh
                     that was refined to produce this one; -1 for root meshes
     snap_to_unit_circle  boundary vertices created by refinement are pushed
@@ -41,7 +40,6 @@ class Mesh:
     vertices: np.ndarray
     triangles: np.ndarray
     boundary_vertex: np.ndarray
-    generation: np.ndarray
     parent: np.ndarray
     snap_to_unit_circle: bool = False
     vertex_parents: np.ndarray = field(default=None, repr=False)  # type: ignore[assignment]
@@ -50,7 +48,6 @@ class Mesh:
         v = np.ascontiguousarray(self.vertices, dtype=np.float64)
         t = np.ascontiguousarray(self.triangles, dtype=np.int64)
         b = np.ascontiguousarray(self.boundary_vertex, dtype=bool)
-        g = np.ascontiguousarray(self.generation, dtype=np.int64)
         p = np.ascontiguousarray(self.parent, dtype=np.int64)
         vp = self.vertex_parents
         if vp is None:
@@ -63,12 +60,12 @@ class Mesh:
             raise ValueError("triangles must have shape (nt, 3)")
         if b.shape != (len(v),):
             raise ValueError("boundary_vertex length must match vertex count")
-        if g.shape != (len(t),) or p.shape != (len(t),):
-            raise ValueError("generation/parent length must match triangle count")
+        if p.shape != (len(t),):
+            raise ValueError("parent length must match triangle count")
         if len(t) and (t.min() < 0 or t.max() >= len(v)):
             raise ValueError("triangle vertex index out of range")
         for arr, name in ((v, "vertices"), (t, "triangles"), (b, "boundary_vertex"),
-                          (g, "generation"), (p, "parent"), (vp, "vertex_parents")):
+                          (p, "parent"), (vp, "vertex_parents")):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -98,21 +95,20 @@ class Mesh:
             raise MeshConformityError("triangle with non-positive signed area")
         return self.signed_areas
 
-    @property
-    def total_area(self) -> float:
-        return float(self.areas.sum())
-
-    def min_angle(self) -> float:
-        """Smallest interior angle over all triangles, in radians."""
-        pts = self.vertices[self.triangles]  # (nt, 3, 2)
-        angles = []
+    @cached_property
+    def basis_gradients(self) -> np.ndarray:
+        """Gradients of the three nodal P1 basis functions per triangle,
+        (nt, 3, 2); raises like `areas` on degenerate triangles."""
+        pts = self.vertices[self.triangles]      # (nt, 3, 2)
+        g = np.empty_like(pts)
         for i in range(3):
-            a = pts[:, (i + 1) % 3] - pts[:, i]
-            b = pts[:, (i + 2) % 3] - pts[:, i]
-            cosang = (a * b).sum(axis=1) / (
-                np.linalg.norm(a, axis=1) * np.linalg.norm(b, axis=1))
-            angles.append(np.arccos(np.clip(cosang, -1.0, 1.0)))
-        return float(np.min(angles))
+            # edge opposite vertex i
+            e = pts[:, (i + 2) % 3] - pts[:, (i + 1) % 3]
+            g[:, i, 0] = -e[:, 1]
+            g[:, i, 1] = e[:, 0]
+        g /= (2.0 * self.areas)[:, None, None]
+        g.setflags(write=False)
+        return g
 
 
 @dataclass(frozen=True)
@@ -232,16 +228,6 @@ def edge_table(mesh: Mesh) -> EdgeTable:
     )
 
 
-def mesh_sizes(mesh: Mesh, edges: EdgeTable | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Per-triangle size h_T = sqrt(area) and per-interior-edge size h_F = |F|.
-
-    The edge sizes are aligned with edge_table(mesh) ordering.
-    """
-    if edges is None:
-        edges = edge_table(mesh)
-    return np.sqrt(mesh.areas), edges.int_lengths.copy()
-
-
 def _derive_boundary_flags(triangles: np.ndarray, nv: int) -> np.ndarray:
     codes, edge_id, counts = _unique_edges(triangles, nv)
     bnd_codes = codes[counts == 1]
@@ -254,13 +240,11 @@ def _derive_boundary_flags(triangles: np.ndarray, nv: int) -> np.ndarray:
 def _root_mesh(vertices, triangles, snap=False) -> Mesh:
     vertices = np.asarray(vertices, dtype=np.float64)
     triangles = np.asarray(triangles, dtype=np.int64)
-    nt = len(triangles)
     return Mesh(
         vertices=vertices,
         triangles=triangles,
         boundary_vertex=_derive_boundary_flags(triangles, len(vertices)),
-        generation=np.zeros(nt, dtype=np.int64),
-        parent=np.full(nt, -1, dtype=np.int64),
+        parent=np.full(len(triangles), -1, dtype=np.int64),
         snap_to_unit_circle=snap,
     )
 
@@ -329,10 +313,7 @@ def generate_disk(levels: int) -> Mesh:
     ang = np.arange(6) * (np.pi / 3.0)
     vertices = np.vstack(([0.0, 0.0], np.column_stack((np.cos(ang), np.sin(ang)))))
     tris = [(0, 1 + k, 1 + (k + 1) % 6) for k in range(6)]  # chord opposite center
-    mesh = _root_mesh(vertices, tris, snap=True)
-    for _ in range(levels):
-        mesh = refine(mesh, np.arange(mesh.num_triangles))
-    return mesh
+    return refine_uniform(_root_mesh(vertices, tris, snap=True), levels)
 
 
 def refine(mesh: Mesh, marked) -> Mesh:
@@ -392,35 +373,32 @@ def refine(mesh: Mesh, marked) -> Mesh:
     if np.any((s1 | s2) & ~s0):
         raise AssertionError("closure failed to split a refinement edge")
 
-    gen = mesh.generation
     anc = np.arange(nt, dtype=np.int64)
 
-    chunks_tri, chunks_gen, chunks_par = [], [], []
+    chunks_tri, chunks_par = [], []
 
-    def emit(mask, cols, extra_gen):
+    def emit(mask, cols):
         if not mask.any():
             return
         chunks_tri.append(np.column_stack([c[mask] for c in cols]))
-        chunks_gen.append(gen[mask] + extra_gen)
         chunks_par.append(anc[mask])
 
-    emit(~s0, (v0, v1, v2), 0)
+    emit(~s0, (v0, v1, v2))
 
     # First bisection at m0: children (m0, v0, v1) and (m0, v2, v0); the
     # child holding edge (v0, v1) resp. (v2, v0) is bisected again at m2
     # resp. m1 when that edge is split.
-    emit(s0 & ~s2, (m0, v0, v1), 1)
-    emit(s0 & s2, (m2, m0, v0), 2)
-    emit(s0 & s2, (m2, v1, m0), 2)
-    emit(s0 & ~s1, (m0, v2, v0), 1)
-    emit(s0 & s1, (m1, m0, v2), 2)
-    emit(s0 & s1, (m1, v0, m0), 2)
+    emit(s0 & ~s2, (m0, v0, v1))
+    emit(s0 & s2, (m2, m0, v0))
+    emit(s0 & s2, (m2, v1, m0))
+    emit(s0 & ~s1, (m0, v2, v0))
+    emit(s0 & s1, (m1, m0, v2))
+    emit(s0 & s1, (m1, v0, m0))
 
     return Mesh(
         vertices=vertices,
         triangles=np.vstack(chunks_tri),
         boundary_vertex=boundary,
-        generation=np.concatenate(chunks_gen),
         parent=np.concatenate(chunks_par),
         snap_to_unit_circle=mesh.snap_to_unit_circle,
         vertex_parents=vertex_parents,

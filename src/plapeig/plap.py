@@ -17,7 +17,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import fem
-from .fem import DEGREE5, DirichletFactor, P1Function, QuadRule
+from .fem import DEGREE5, DirichletFactor, P1Function
 from .mesh import Mesh
 
 log = logging.getLogger(__name__)
@@ -26,25 +26,18 @@ log = logging.getLogger(__name__)
 DEFAULT_SEED = 42
 
 
-def resolvent(s: float, p: float) -> float:
-    """Unique nonnegative root r of r^{p-1} + r = s.
+def resolvent_many(s: np.ndarray, p: float) -> np.ndarray:
+    """Unique nonnegative roots r of r^{p-1} + r = s, entrywise.
 
     The left-hand side is strictly increasing on r >= 0, so the root exists
-    and is unique for every s >= 0.  The result satisfies
+    and is unique for every s >= 0.  Each result satisfies
     |r^{p-1} + r - s| <= 1e-13 * max(1, s).
-    """
-    if s < 0:
-        raise ValueError("s must be nonnegative")
-    return float(resolvent_many(np.array([s]), p)[0])
 
-
-def resolvent_many(s: np.ndarray, p: float) -> np.ndarray:
-    """Vectorized resolvent; safeguarded Newton with a bisection fallback.
-
-    The root is bracketed in [0, min(s, s^{1/(p-1)})] (both bounds dominate
-    it; the min avoids overflow for p close to 1).  For p < 2 the derivative
-    blows up at 0, so iterations start at s/2 and the bracket keeps Newton
-    away from the singularity.
+    Safeguarded Newton with a bisection fallback.  The root is bracketed in
+    [0, min(s, s^{1/(p-1)})] (both bounds dominate it; the min avoids
+    overflow for p close to 1).  For p < 2 the derivative blows up at 0, so
+    iterations start at s/2 and the bracket keeps Newton away from the
+    singularity.
     """
     if p <= 1:
         raise ValueError("p must exceed 1")
@@ -85,8 +78,8 @@ def resolvent_many(s: np.ndarray, p: float) -> np.ndarray:
 def nu_update(w: np.ndarray, p: float) -> np.ndarray:
     """Solve |nu|^{p-2} nu + nu = w rowwise for the flux field nu.
 
-    By radial symmetry nu is parallel to w with magnitude resolvent(|w|, p);
-    zero rows stay zero.
+    By radial symmetry nu is parallel to w with magnitude
+    resolvent_many(|w|, p); zero rows stay zero.
     """
     w = np.asarray(w, dtype=np.float64)
     n = np.linalg.norm(w, axis=-1)
@@ -95,17 +88,6 @@ def nu_update(w: np.ndarray, p: float) -> np.ndarray:
     nz = n > 0.0
     scale[nz] = r[nz] / n[nz]
     return scale[..., None] * w
-
-
-@dataclass
-class DCState:
-    """Iteration state: current solution and the two auxiliary fields."""
-
-    u: P1Function
-    xi: np.ndarray
-    nu: np.ndarray
-    n: int
-    rel_change: float
 
 
 @dataclass
@@ -135,15 +117,13 @@ class DCWorkspace:
     contribution -sum_T |T| g . grad(phi_i).
     """
 
-    def __init__(self, mesh: Mesh, quad: QuadRule = DEGREE5):
+    def __init__(self, mesh: Mesh):
         self.mesh = mesh
-        self.quad = quad
         self.stiffness = fem.assemble_stiffness(mesh)
         self.factor = DirichletFactor(self.stiffness, mesh.boundary_vertex)
-        grads = fem.p1_gradients(mesh)
-        areas = mesh.areas
         nt = mesh.num_triangles
-        data = (areas[:, None, None] * grads)  # (nt, 3, 2)
+        # (nt, 3, 2)
+        data = mesh.areas[:, None, None] * mesh.basis_gradients
         rows = np.broadcast_to(mesh.triangles[:, :, None], (nt, 3, 2))
         cols = np.broadcast_to(
             (2 * np.arange(nt))[:, None, None] + np.arange(2)[None, None, :],
@@ -157,9 +137,9 @@ class DCWorkspace:
         return -(self._div @ g.ravel())
 
     def l2_norm(self, coeffs: np.ndarray) -> float:
-        vals = coeffs[self.mesh.triangles] @ self.quad.points.T
+        vals = coeffs[self.mesh.triangles] @ DEGREE5.points.T
         return float(np.sqrt(np.einsum("tq,q,t->", vals * vals,
-                                       self.quad.weights, self.mesh.areas)))
+                                       DEGREE5.weights, self.mesh.areas)))
 
 
 def random_fields(mesh: Mesh, seed: int = DEFAULT_SEED) -> tuple[np.ndarray, np.ndarray]:
@@ -174,7 +154,7 @@ def random_fields(mesh: Mesh, seed: int = DEFAULT_SEED) -> tuple[np.ndarray, np.
 
 def dc_solve(mesh: Mesh, f, p: float, eps_n: float = 1e-5, max_iter: int = 500,
              init: tuple[np.ndarray, np.ndarray] | None = None,
-             seed: int = DEFAULT_SEED, quad: QuadRule = DEGREE5,
+             seed: int = DEFAULT_SEED,
              workspace: DCWorkspace | None = None) -> tuple[P1Function, DCReport]:
     """Decomposition-coordination solve of the p-Laplacian Dirichlet problem.
 
@@ -190,7 +170,7 @@ def dc_solve(mesh: Mesh, f, p: float, eps_n: float = 1e-5, max_iter: int = 500,
         raise ValueError("p must exceed 1")
     if eps_n <= 0:
         raise ValueError("eps_n must be positive")
-    ws = workspace if workspace is not None else DCWorkspace(mesh, quad)
+    ws = workspace if workspace is not None else DCWorkspace(mesh)
     nt = mesh.num_triangles
     q = p / (p - 1.0)
 
@@ -202,42 +182,42 @@ def dc_solve(mesh: Mesh, f, p: float, eps_n: float = 1e-5, max_iter: int = 500,
         if xi.shape != (nt, 2) or nu.shape != (nt, 2):
             raise ValueError("init fields must have one 2-vector per triangle")
 
-    b_f = fem.assemble_rhs(mesh, f, quad=quad)
-    state = DCState(u=P1Function(mesh, np.zeros(mesh.num_vertices)),
-                    xi=xi, nu=nu, n=0, rel_change=np.inf)
+    b_f = fem.assemble_rhs(mesh, f)
+    u = P1Function(mesh, np.zeros(mesh.num_vertices))
+    n = 0
+    rel_change = np.inf
     converged = False
     history: list[float] = []
-    while state.n < max_iter:
-        prev_coeffs = state.u.coeffs
-        state.n += 1
-        b = b_f + ws.g_load(state.xi - state.nu)
-        u_new = P1Function(mesh, ws.factor.solve(b))
-        gu = fem.grad(u_new)
-        w = state.xi + gu
-        state.nu = nu_update(w, p)
-        state.xi = w - state.nu
-        state.u = u_new
+    while n < max_iter:
+        prev_coeffs = u.coeffs
+        n += 1
+        b = b_f + ws.g_load(xi - nu)
+        u = P1Function(mesh, ws.factor.solve(b))
+        gu = fem.grad(u)
+        w = xi + gu
+        nu = nu_update(w, p)
+        xi = w - nu
 
         sigma = fem.p_flux(gu, p)
-        mismatch = np.linalg.norm(state.xi - sigma, axis=1)
+        mismatch = np.linalg.norm(xi - sigma, axis=1)
         history.append(float(np.dot(mesh.areas, mismatch ** q) ** (1.0 / q)))
 
-        if state.n >= 2:
-            diff = ws.l2_norm(u_new.coeffs - prev_coeffs)
+        if n >= 2:
+            diff = ws.l2_norm(u.coeffs - prev_coeffs)
             base = ws.l2_norm(prev_coeffs)
-            state.rel_change = diff / base if base > 0.0 else diff
-            if state.rel_change < eps_n:
+            rel_change = diff / base if base > 0.0 else diff
+            if rel_change < eps_n:
                 converged = True
                 break
 
     if not converged:
         log.warning("dc_solve hit max_iter=%d at relative change %.3e",
-                    max_iter, state.rel_change)
+                    max_iter, rel_change)
     if len(history) >= 3 and not (history[-1] <= history[-2] <= history[-3]):
         log.debug("consistency residual not decreasing over final sweeps: %s",
                   history[-3:])
 
-    report = DCReport(iterations=state.n, rel_change=float(state.rel_change),
+    report = DCReport(iterations=n, rel_change=float(rel_change),
                       consistency=history[-1], converged=converged,
-                      xi=state.xi, nu=state.nu, consistency_history=history)
-    return state.u, report
+                      xi=xi, nu=nu, consistency_history=history)
+    return u, report

@@ -11,7 +11,6 @@ def ref_triangle() -> Mesh:
         vertices=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
         triangles=np.array([[0, 1, 2]]),
         boundary_vertex=np.array([True, True, True]),
-        generation=np.zeros(1, dtype=np.int64),
         parent=np.full(1, -1, dtype=np.int64),
     )
 

@@ -50,6 +50,41 @@ def integrate_triangle(f, v0, v1, v2, m: int = 6) -> float:
     return float(jac * np.dot(ref_w, f(pts[:, 0], pts[:, 1])))
 
 
+def values_at_points(vertices, triangles, bary, f) -> np.ndarray:
+    """f(x, y) at the images of the barycentric points bary (nq, 3) in every
+    triangle, (nt, nq)."""
+    corners = np.asarray(vertices)[np.asarray(triangles)]  # (nt, 3, 2)
+    x = corners[:, :, 0] @ np.asarray(bary).T
+    y = corners[:, :, 1] @ np.asarray(bary).T
+    return np.asarray(f(x, y), dtype=float)
+
+
+def solve_dirichlet_dense(K, b, boundary) -> np.ndarray:
+    """Solution of K u = b with u = 0 at the flagged boundary vertices, by a
+    dense direct solve of the interior block (small meshes only)."""
+    inner = np.nonzero(~np.asarray(boundary, dtype=bool))[0]
+    u = np.zeros(len(boundary))
+    if len(inner):
+        A = K.toarray()[np.ix_(inner, inner)]
+        u[inner] = np.linalg.solve(A, np.asarray(b, dtype=float)[inner])
+    return u
+
+
+def min_angle(mesh) -> float:
+    """Smallest interior angle over all triangles of a mesh, in radians, from
+    the law of cosines on the three side lengths."""
+    corners = mesh.vertices[mesh.triangles]  # (nt, 3, 2)
+    sides = np.stack([np.linalg.norm(corners[:, (i + 1) % 3]
+                                     - corners[:, (i + 2) % 3], axis=1)
+                      for i in range(3)], axis=1)  # side opposite corner i
+    worst = np.inf
+    for i in range(3):
+        a, b, c = sides[:, i], sides[:, (i + 1) % 3], sides[:, (i + 2) % 3]
+        cos = np.clip((b * b + c * c - a * a) / (2.0 * b * c), -1.0, 1.0)
+        worst = min(worst, float(np.arccos(cos).min()))
+    return worst
+
+
 def square_torsion_center(terms: int = 99) -> float:
     """Value at (1/2, 1/2) of the solution of -lap u = 1 on the unit square
     with zero boundary values, from the double sine series."""

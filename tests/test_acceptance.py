@@ -103,7 +103,7 @@ def test_criterion_06_p2_degeneration():
     m = generate_unit_square(8)
     K = fem.assemble_stiffness(m)
     b = fem.assemble_rhs(m, 1.0)
-    u_ref = fem.solve_dirichlet(K, b, m.boundary_vertex)
+    u_ref = oracles.solve_dirichlet_dense(K, b, m.boundary_vertex)
     worst = 0.0
     for seed in range(5):
         u, rep = plap.dc_solve(m, 1.0, 2.0, seed=seed)
@@ -123,7 +123,7 @@ def test_criterion_07_resolvent_suite():
     p_all[p_all <= 1.05] = 1.0500001
     worst = 0.0
     for s, p in zip(s_all, p_all):
-        r = plap.resolvent(float(s), float(p))
+        r = float(plap.resolvent_many(np.array([s]), float(p))[0])
         worst = max(worst, abs(r ** (p - 1.0) + r - s) / max(1.0, s))
     monotone = True
     for p in rng.uniform(1.05, 40.0, size=20):
@@ -144,7 +144,7 @@ def test_criterion_08_estimator_identity():
         for _ in range(25):
             u = P1Function(m, rng.standard_normal(m.num_vertices))
             # the estimator's element-residual path (exponent identity)
-            ours = estimator._element_terms(m, mu, u, p, fem.DEGREE5)
+            ours = estimator._element_terms(m, mu, u, p)
             for t in range(m.num_triangles):
                 direct = oracles.residual_q_power_direct(
                     m.vertices, m.triangles, u.coeffs, mu, p, t)
@@ -187,16 +187,16 @@ def test_criterion_09_dorfler_suite():
 def test_criterion_10_torsion_analytics():
     checks = []
     d = generate_disk(9)
-    u = eigen.torsion(d, 2.0)
+    u, _ = eigen.torsion(d, 2.0)
     rel = abs(np.max(u.coeffs) - 0.25) / 0.25
     checks.append(("disk p=2 max", rel, 0.01))
     for p in (1.5, 3.0):
-        u = eigen.torsion(d, p)
+        u, _ = eigen.torsion(d, p)
         exact = float(oracles.disk_torsion(0.0, p))
         rel = abs(float(u.coeffs[0]) - exact) / exact
         checks.append((f"disk p={p} center", rel, 0.02))
     sq = generate_unit_square(40)
-    u = eigen.torsion(sq, 2.0)
+    u, _ = eigen.torsion(sq, 2.0)
     series = oracles.square_torsion_center()
     assert abs(series - 0.0736713) < 5e-7
     rel = abs(np.max(u.coeffs) - 0.0736713) / 0.0736713
@@ -216,11 +216,11 @@ def test_criterion_11_mesh_soak():
         mesh = refine(mesh, [int(rng.integers(mesh.num_triangles))])
         if (i + 1) % 500 == 0 or i == rounds - 1:
             edge_table(mesh)  # conformity
-            assert abs(mesh.total_area - 3.0) / 3.0 < 1e-12
-            ok_angle &= mesh.min_angle() >= min_angle_floor
+            assert abs(mesh.areas.sum() - 3.0) / 3.0 < 1e-12
+            ok_angle &= oracles.min_angle(mesh) >= min_angle_floor
     edge_table(mesh)
-    area_ok = abs(mesh.total_area - 3.0) / 3.0 < 1e-12
+    area_ok = abs(mesh.areas.sum() - 3.0) / 3.0 < 1e-12
     ok = ok_angle and area_ok
     report("criterion 11: mesh soak (conformity, angles, area)", ok,
            f"{rounds} rounds, final {mesh.num_triangles} elements, "
-           f"min angle {np.degrees(mesh.min_angle()):.2f} deg")
+           f"min angle {np.degrees(oracles.min_angle(mesh)):.2f} deg")

@@ -1,25 +1,32 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import plapeig
+from plapeig import io
 from plapeig.cli import UsageError, main, parse_cli
+from plapeig.mesh import Mesh, generate_unit_square
 
 
 class TestParse:
     def test_run_flag_mapping(self):
-        inv = parse_cli(["run", "--domain", "square", "--p", "2",
-                         "--theta", "0.6", "--eps-k", "1e-4",
-                         "--max-loops", "10", "--seed", "42",
-                         "--out", "results/"])
-        assert inv.subcommand == "run"
-        a = inv.args
+        a = parse_cli(["run", "--domain", "square", "--p", "2",
+                       "--theta", "0.6", "--eps-k", "1e-4",
+                       "--max-loops", "10", "--seed", "42",
+                       "--out", "results/"])
+        assert a.subcommand == "run"
         assert a.domain == "square" and a.p_exp == 2.0
         assert a.theta == 0.6 and a.eps_k == 1e-4
         assert a.max_loops == 10 and a.seed == 42 and a.out == "results/"
 
     def test_large_p_is_valid(self):
-        inv = parse_cli(["run", "--domain", "disk", "--p", "30",
-                         "--theta", "0.6", "--max-loops", "9",
-                         "--out", "o/"])
-        assert inv.args.p_exp == 30.0
+        a = parse_cli(["run", "--domain", "disk", "--p", "30",
+                       "--theta", "0.6", "--max-loops", "9",
+                       "--out", "o/"])
+        assert a.p_exp == 30.0
 
     def test_p_below_one_rejected(self):
         with pytest.raises(UsageError, match="--p"):
@@ -50,6 +57,19 @@ class TestMain:
     def test_bad_domain_exit_code(self, tmp_path, capsys):
         assert main(["run", "--domain", "blob",
                      "--out", str(tmp_path / "o")]) == 1
+
+    def test_clockwise_mesh_file_is_usage_error(self, tmp_path, capsys):
+        m = generate_unit_square(3)
+        tri = m.triangles.copy()
+        tri[4] = tri[4, [0, 2, 1]]  # one clockwise triangle
+        path = tmp_path / "cw.txt"
+        io.save_mesh(Mesh(vertices=m.vertices, triangles=tri,
+                          boundary_vertex=m.boundary_vertex, parent=m.parent),
+                     str(path))
+        assert main(["run", "--domain", f"file:{path}",
+                     "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert "usage error:" in err and "Traceback" not in err
 
     def test_solver_failure_exit_code(self, capsys):
         # an iteration cap this low cannot satisfy the tolerance for p != 2
@@ -99,3 +119,17 @@ class TestMain:
         for la, lb in zip(a, b):
             pa, pb = la.split(","), lb.split(",")
             assert pa[:-1] == pb[:-1]  # everything but the seconds column
+
+    @pytest.mark.parametrize("module", ["plapeig", "plapeig.cli"])
+    def test_python_dash_m_runs(self, module, tmp_path):
+        src = str(Path(plapeig.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        out = tmp_path / "o"
+        proc = subprocess.run(
+            [sys.executable, "-m", module, "run", "--domain", "square",
+             "--resolution", "3", "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert (out / "convergence.csv").exists()

@@ -13,24 +13,26 @@ TWO_PI_SQ = 2.0 * np.pi ** 2
 class TestTorsion:
     def test_square_p2_max(self):
         m = generate_unit_square(40)
-        u = eigen.torsion(m, 2.0)
+        u, _ = eigen.torsion(m, 2.0)
         exact = oracles.square_torsion_center()
         assert abs(np.max(u.coeffs) - exact) / exact < 0.01
 
     def test_disk_p2_max(self):
         d = generate_disk(9)
-        u = eigen.torsion(d, 2.0)
+        u, rep = eigen.torsion(d, 2.0)
+        assert rep.converged and rep.iterations == 3
         assert abs(np.max(u.coeffs) - 0.25) / 0.25 < 0.01
 
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
     def test_nonnegative_vertices(self, p):
         d = generate_disk(6)
-        u = eigen.torsion(d, p)
+        u, _ = eigen.torsion(d, p)
         assert np.min(u.coeffs) >= -1e-10
 
     def test_nonconvergence_raises(self):
         m = generate_unit_square(6)
-        with pytest.raises(SolverError):
+        with pytest.raises(SolverError,
+                           match="^torsion start did not converge"):
             eigen.torsion(m, 3.0, max_dc=2)
 
 

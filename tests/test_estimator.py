@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from plapeig import eigen, estimator, fem
-from plapeig.estimator import IndicatorSet, dorfler_mark, element_indicator, \
-    estimate_all
+from plapeig.estimator import IndicatorSet, dorfler_mark, estimate_all
 from plapeig.fem import P1Function
 from plapeig.mesh import Mesh, edge_table, generate_unit_square, refine_uniform
 
@@ -18,7 +17,7 @@ class TestElementIndicator:
     def test_single_reference_triangle(self, ref_triangle):
         et = edge_table(ref_triangle)
         u = p1(ref_triangle, [0.0, 1.0, 0.0])  # u = x
-        val = element_indicator(ref_triangle, et, 1.0, u, 0, 2.0)
+        val = estimate_all(ref_triangle, et, 1.0, u, 2.0).eta_q[0]
         # h_T^2 * mu^2 * int x^2 = (1/2) * 1 * (1/12); no interior edges
         assert val == pytest.approx(1.0 / 24.0, rel=1e-14)
 
@@ -35,7 +34,7 @@ class TestElementIndicator:
         mu = 1.7
         for _ in range(5):
             u = p1(m, rng.standard_normal(m.num_vertices))
-            ours = estimator._element_terms(m, mu, u, p, fem.DEGREE5)
+            ours = estimator._element_terms(m, mu, u, p)
             for t in range(m.num_triangles):
                 direct = oracles.residual_q_power_direct(
                     m.vertices, m.triangles, u.coeffs, mu, p, t)
@@ -98,8 +97,7 @@ class TestElementIndicator:
                         [np.sin(ang), np.cos(ang)]])
         moved = Mesh(vertices=m.vertices @ rot.T + np.array([2.0, -1.0]),
                      triangles=m.triangles,
-                     boundary_vertex=m.boundary_vertex,
-                     generation=m.generation, parent=m.parent)
+                     boundary_vertex=m.boundary_vertex, parent=m.parent)
         ind1 = estimate_all(moved, edge_table(moved), 1.3,
                             p1(moved, coeffs), 2.5)
         assert np.allclose(ind0.eta_q, ind1.eta_q, rtol=1e-10)
@@ -115,22 +113,29 @@ class TestElementIndicator:
                             res1.u_lp, 2.0).total_eta
         assert eta1 < eta0
 
-    def test_element_indicator_matches_estimate_all(self, rng):
+    def test_element_value_is_own_term_plus_own_edges(self, rng):
         m = generate_unit_square(2)
         et = edge_table(m)
         u = p1(m, rng.standard_normal(m.num_vertices))
-        ind = estimate_all(m, et, 0.8, u, 3.0)
-        for t in range(m.num_triangles):
-            assert element_indicator(m, et, 0.8, u, t, 3.0) == pytest.approx(
-                ind.eta_q[t], rel=1e-13)
+        p, mu = 3.0, 0.8
+        ind = estimate_all(m, et, mu, u, p)
+        own = estimator._element_terms(m, mu, u, p)
+        edge_sum = np.zeros(m.num_triangles)
+        q = p / (p - 1.0)
+        sigma = fem.p_flux(fem.grad(u), p)
+        for e in range(et.num_interior):
+            plus, minus = et.int_tri_plus[e], et.int_tri_minus[e]
+            jump = float(np.dot(sigma[plus] - sigma[minus], et.int_normals[e]))
+            term = float(et.int_lengths[e]) ** 2 * abs(jump) ** q
+            edge_sum[plus] += term
+            edge_sum[minus] += term
+        assert np.allclose(ind.eta_q, own + edge_sum, rtol=1e-13)
 
     def test_validation(self, ref_triangle):
         et = edge_table(ref_triangle)
         u = p1(ref_triangle, [0.0, 1.0, 0.0])
         with pytest.raises(ValueError):
             estimate_all(ref_triangle, et, 1.0, u, 1.0)
-        with pytest.raises(ValueError):
-            element_indicator(ref_triangle, et, 1.0, u, 5, 2.0)
 
 
 def make_indicator(values, q=2.0):

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from plapeig import fem
-from plapeig.fem import DEGREE5, P1Function, SolverError
-from plapeig.mesh import generate_unit_square, refine_uniform
+from plapeig import fem, plap
+from plapeig.fem import DEGREE5, P1Function
+from plapeig.mesh import generate_unit_square
 
 import oracles
 
@@ -73,7 +73,10 @@ class TestRhs:
         assert np.allclose(b, 1.0 / 6.0, atol=1e-15)
 
     def test_linear_load_reference(self, ref_triangle):
-        b = fem.assemble_rhs(ref_triangle, lambda x, y: x)
+        fx = oracles.values_at_points(ref_triangle.vertices,
+                                      ref_triangle.triangles, DEGREE5.points,
+                                      lambda x, y: x)
+        b = fem.assemble_rhs(ref_triangle, fx)
         # int x phi_0 = int x (1 - x - y) from exact monomial integrals
         exact = (oracles.monomial_integral(1, 0)
                  - oracles.monomial_integral(2, 0)
@@ -86,39 +89,34 @@ class TestRhs:
         # sums to zero over all vertices
         m = generate_unit_square(3)
         g = np.tile([0.3, -1.2], (m.num_triangles, 1))
-        b = fem.assemble_rhs(m, 0.0, g=g)
+        b = plap.DCWorkspace(m).g_load(g)
         assert abs(b.sum()) < 1e-13
 
     def test_field_size_mismatch(self, ref_triangle):
-        with pytest.raises(ValueError):
-            fem.assemble_rhs(ref_triangle, 1.0, g=np.zeros((4, 2)))
-        with pytest.raises(ValueError):
-            fem.field_at_quad(ref_triangle, np.zeros(9))
+        for bad in (np.zeros(9), np.zeros(1), np.zeros((1, 3))):
+            with pytest.raises(ValueError):
+                fem.assemble_rhs(ref_triangle, bad)
 
 
 class TestDirichletSolve:
+    @staticmethod
+    def _factor(m):
+        K = fem.assemble_stiffness(m)
+        return fem.DirichletFactor(K, m.boundary_vertex)
+
     def test_zero_rhs(self):
         m = generate_unit_square(4)
-        K = fem.assemble_stiffness(m)
-        u = fem.solve_dirichlet(K, np.zeros(m.num_vertices), m.boundary_vertex)
+        u = self._factor(m).solve(np.zeros(m.num_vertices))
         assert np.all(u == 0.0)
 
     def test_single_unknown(self):
         m = generate_unit_square(2)
         K = fem.assemble_stiffness(m)
         b = fem.assemble_rhs(m, 1.0)
-        u = fem.solve_dirichlet(K, b, m.boundary_vertex)
+        u = fem.DirichletFactor(K, m.boundary_vertex).solve(b)
         c = int(np.nonzero(~m.boundary_vertex)[0][0])
         assert u[c] == pytest.approx(b[c] / K[c, c], rel=1e-12)
         assert np.all(u[m.boundary_vertex] == 0.0)
-
-    def test_pcg_matches_dense(self, rng):
-        m = refine_uniform(generate_unit_square(3), 2)
-        K = fem.assemble_stiffness(m)
-        b = fem.assemble_rhs(m, lambda x, y: np.sin(3 * x) + y)
-        u_pcg = fem.solve_dirichlet(K, b, m.boundary_vertex)
-        u_dense = fem.solve_dirichlet_dense(K, b, m.boundary_vertex)
-        assert np.max(np.abs(u_pcg - u_dense)) < 1e-10
 
     def test_factorized_matches_dense(self):
         m = generate_unit_square(6)
@@ -126,14 +124,14 @@ class TestDirichletSolve:
         fac = fem.DirichletFactor(K, m.boundary_vertex)
         b = fem.assemble_rhs(m, 1.0)
         u = fac.solve(b)
-        u_dense = fem.solve_dirichlet_dense(K, b, m.boundary_vertex)
+        u_dense = oracles.solve_dirichlet_dense(K, b, m.boundary_vertex)
         assert np.max(np.abs(u - u_dense)) < 1e-12
 
     def test_residual_contract(self):
         m = generate_unit_square(10)
         K = fem.assemble_stiffness(m)
         b = fem.assemble_rhs(m, 1.0)
-        u = fem.solve_dirichlet(K, b, m.boundary_vertex)
+        u = fem.DirichletFactor(K, m.boundary_vertex).solve(b)
         idx = ~m.boundary_vertex
         A = K.tocsr()[np.nonzero(idx)[0]][:, np.nonzero(idx)[0]]
         res = np.linalg.norm(A @ u[idx] - b[idx]) / np.linalg.norm(b[idx])
@@ -146,29 +144,15 @@ class TestDirichletSolve:
         assert exact == pytest.approx(0.0736713, abs=5e-7)
         m = generate_unit_square(100)
         assert m.num_vertices >= 10_000
-        K = fem.assemble_stiffness(m)
-        b = fem.assemble_rhs(m, 1.0)
-        u = fem.solve_dirichlet(K, b, m.boundary_vertex)
+        u = self._factor(m).solve(fem.assemble_rhs(m, 1.0))
         c = int(np.argmin(np.linalg.norm(m.vertices - 0.5, axis=1)))
         assert abs(u[c] - exact) / exact < 0.01
-
-    def test_pcg_cap_raises_with_residual(self):
-        m = generate_unit_square(8)
-        K = fem.assemble_stiffness(m)
-        b = fem.assemble_rhs(m, 1.0)
-        idx = np.nonzero(~m.boundary_vertex)[0]
-        A = K.tocsr()[idx][:, idx]
-        with pytest.raises(SolverError) as err:
-            fem._pcg(A, b[idx], rtol=1e-10, maxiter=2)
-        assert np.isfinite(err.value.residual)
-        assert err.value.residual > 1e-10
 
     def test_degenerate_triangle_rejected(self):
         from plapeig.mesh import Mesh, MeshConformityError
         bad = Mesh(vertices=np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]),
                    triangles=np.array([[0, 1, 2]]),
                    boundary_vertex=np.array([True] * 3),
-                   generation=np.zeros(1, dtype=np.int64),
                    parent=np.full(1, -1, dtype=np.int64))
         with pytest.raises(MeshConformityError):
             fem.assemble_stiffness(bad)

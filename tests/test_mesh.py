@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from plapeig.mesh import (Mesh, MeshConformityError, edge_table, generate_disk,
-                          generate_lshape, generate_unit_square, mesh_sizes,
+                          generate_lshape, generate_unit_square,
                           prolong_vertex_values, refine, refine_uniform)
+
+import oracles
 
 
 def euler_characteristic(mesh):
@@ -21,7 +23,7 @@ class TestGenerators:
     def test_square_area_and_orientation(self):
         m = generate_unit_square(4)
         assert np.all(m.signed_areas > 0)
-        assert m.total_area == pytest.approx(1.0, abs=1e-14)
+        assert m.areas.sum() == pytest.approx(1.0, abs=1e-14)
 
     @pytest.mark.parametrize("n,nv,nt", [(1, 8, 6), (2, 21, 24)])
     def test_lshape_counts(self, n, nv, nt):
@@ -30,7 +32,7 @@ class TestGenerators:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
     def test_lshape_area(self, n):
-        assert generate_lshape(n).total_area == pytest.approx(3.0, abs=1e-12)
+        assert generate_lshape(n).areas.sum() == pytest.approx(3.0, abs=1e-12)
 
     def test_disk_level0(self):
         m = generate_disk(0)
@@ -51,7 +53,7 @@ class TestGenerators:
             assert c == 6 * 2 ** ((lv + 1) // 2)
 
     def test_disk_area_monotone_to_pi(self):
-        areas = [generate_disk(lv).total_area for lv in range(10)]
+        areas = [generate_disk(lv).areas.sum() for lv in range(10)]
         assert all(b >= a - 1e-13 for a, b in zip(areas, areas[1:]))
         assert all(a < np.pi for a in areas)
         assert abs(areas[-1] - np.pi) < 1e-3
@@ -92,7 +94,7 @@ class TestRefine:
             marked = rng.choice(m.num_triangles,
                                 size=rng.integers(1, 4), replace=False)
             m = refine(m, marked)
-            assert abs(m.total_area - 3.0) / 3.0 < 1e-12
+            assert abs(m.areas.sum() - 3.0) / 3.0 < 1e-12
         edge_table(m)
 
     def test_min_angle_stabilizes_square(self):
@@ -100,7 +102,7 @@ class TestRefine:
         angles = []
         for _ in range(6):
             m = refine_uniform(m)
-            angles.append(m.min_angle())
+            angles.append(oracles.min_angle(m))
         # right isoceles triangles reproduce themselves: constant 45 degrees
         assert all(abs(a - np.pi / 4) < 1e-12 for a in angles)
 
@@ -108,25 +110,24 @@ class TestRefine:
         m = generate_lshape(1)
         for _ in range(6):
             m = refine_uniform(m)
-            assert abs(m.min_angle() - np.pi / 4) < 1e-12
+            assert abs(oracles.min_angle(m) - np.pi / 4) < 1e-12
 
     def test_min_angle_floor_disk(self):
         # boundary snapping perturbs the similarity classes; the angle still
         # settles well above a fixed floor
         m = generate_disk(8)
-        assert m.min_angle() > np.radians(18.0)
+        assert oracles.min_angle(m) > np.radians(18.0)
 
     def test_generation_and_parent(self):
         m = generate_unit_square(2)
         r = refine(m, [3])
-        assert np.all(r.generation >= 0)
-        bisected = r.generation > 0
+        assert np.all((0 <= r.parent) & (r.parent < m.num_triangles))
+        # one or two bisections halve or quarter the ancestor's area
+        ratio = m.areas[r.parent] / r.areas
+        assert np.all(np.isclose(ratio, 1.0) | np.isclose(ratio, 2.0)
+                      | np.isclose(ratio, 4.0))
+        bisected = ~np.isclose(ratio, 1.0)
         assert bisected.any()
-        for child in np.nonzero(bisected)[0]:
-            anc = r.parent[child]
-            assert 0 <= anc < m.num_triangles
-            assert r.generation[child] in (m.generation[anc] + 1,
-                                           m.generation[anc] + 2)
         # the marked element is gone and has at least two descendants
         descendants = np.nonzero((r.parent == 3) & bisected)[0]
         assert len(descendants) >= 2
@@ -200,7 +201,6 @@ class TestEdgeTable:
         triangles = np.array([[1, 2, 0], [4, 3, 0], [2, 3, 4]])
         mesh = Mesh(vertices=vertices, triangles=triangles,
                     boundary_vertex=np.array([True] * 4 + [False]),
-                    generation=np.zeros(3, dtype=np.int64),
                     parent=np.full(3, -1, dtype=np.int64))
         with pytest.raises(MeshConformityError):
             edge_table(mesh)
@@ -211,7 +211,6 @@ class TestEdgeTable:
         triangles = np.array([[2, 0, 1], [0, 1, 3], [4, 0, 1]])
         mesh = Mesh(vertices=vertices, triangles=triangles,
                     boundary_vertex=np.ones(5, dtype=bool),
-                    generation=np.zeros(3, dtype=np.int64),
                     parent=np.full(3, -1, dtype=np.int64))
         with pytest.raises(MeshConformityError):
             edge_table(mesh)
@@ -219,13 +218,13 @@ class TestEdgeTable:
 
 class TestSizesAndProlongation:
     def test_reference_triangle_ht(self, ref_triangle):
-        h_t, _ = mesh_sizes(ref_triangle)
+        h_t = np.sqrt(ref_triangle.areas)
         assert h_t[0] == pytest.approx(np.sqrt(0.5), abs=1e-15)
 
     def test_unit_length_edge(self):
         # interior vertical edge of the L-shape at n=1 has length 1
         m = generate_lshape(1)
-        _, h_f = mesh_sizes(m)
+        h_f = edge_table(m).int_lengths
         assert np.any(np.abs(h_f - 1.0) < 1e-14)
 
     def test_bisection_halves_area(self):

@@ -15,7 +15,8 @@ class TestResolvent:
         (2.0, 1.5, 1.0),
     ])
     def test_known_roots(self, s, p, root):
-        assert plap.resolvent(s, p) == pytest.approx(root, abs=1e-13)
+        r = plap.resolvent_many(np.array([s]), p)
+        assert r[0] == pytest.approx(root, abs=1e-13)
 
     def test_residual_contract(self, rng):
         for _ in range(50):
@@ -42,9 +43,9 @@ class TestResolvent:
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
-            plap.resolvent(-1.0, 2.0)
+            plap.resolvent_many(np.array([-1.0]), 2.0)
         with pytest.raises(ValueError):
-            plap.resolvent(1.0, 1.0)
+            plap.resolvent_many(np.array([1.0]), 1.0)
         with pytest.raises(ValueError):
             plap.resolvent_many(np.array([np.inf]), 2.0)
 
@@ -75,7 +76,7 @@ class TestDCSolve:
         m = generate_unit_square(8)
         K = fem.assemble_stiffness(m)
         b = fem.assemble_rhs(m, 1.0)
-        u_ref = fem.solve_dirichlet(K, b, m.boundary_vertex)
+        u_ref = oracles.solve_dirichlet_dense(K, b, m.boundary_vertex)
         for seed in (0, 1, 2, 3, 4):
             u, rep = plap.dc_solve(m, 1.0, 2.0, seed=seed)
             assert rep.converged
@@ -135,7 +136,7 @@ class TestDCSolve:
         # with zero fields the very first sweep is already the Poisson solve
         K = fem.assemble_stiffness(m)
         b = fem.assemble_rhs(m, 1.0)
-        u_ref = fem.solve_dirichlet(K, b, m.boundary_vertex)
+        u_ref = oracles.solve_dirichlet_dense(K, b, m.boundary_vertex)
         assert np.max(np.abs(u.coeffs - u_ref)) < 1e-9
 
     def test_rejects_bad_arguments(self):
