@@ -20,8 +20,8 @@ from .plap import (DCReport, DCWorkspace, dc_solve, nu_update, random_fields,
 from .eigen import EigenResult, iiss, torsion
 from .estimator import IndicatorSet, dorfler_mark, estimate_all
 from .driver import AfemConfig, ConvergenceLog, LogRow, initial_mesh, run_afem
-from .io import (MeshFormatError, load_mesh, read_convergence_csv, save_mesh,
-                 write_convergence_csv, write_vtk)
+from .io import (MeshFormatError, load_mesh, save_mesh, write_convergence_csv,
+                 write_vtk)
 
 __version__ = "0.1.0"
 
@@ -37,7 +37,7 @@ __all__ = [
     "EigenResult", "iiss", "torsion",
     "IndicatorSet", "dorfler_mark", "estimate_all",
     "AfemConfig", "ConvergenceLog", "LogRow", "initial_mesh", "run_afem",
-    "MeshFormatError", "load_mesh", "read_convergence_csv", "save_mesh",
+    "MeshFormatError", "load_mesh", "save_mesh",
     "write_convergence_csv", "write_vtk",
     "__version__",
 ]

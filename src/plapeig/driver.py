@@ -21,7 +21,7 @@ from . import eigen, estimator, fem, io
 from .fem import P1Function
 from .mesh import Mesh, edge_table, generate_disk, generate_lshape, \
     generate_unit_square, prolong_vertex_values, refine
-from .plap import DCWorkspace, DEFAULT_SEED
+from .plap import DEFAULT_SEED
 
 log = logging.getLogger(__name__)
 
@@ -119,9 +119,9 @@ def run_afem(config: AfemConfig) -> ConvergenceLog:
     When config.out_dir is set, every loop's mesh is written as mesh_<k>.vtk
     and the run finishes with eigenfunction.vtk and convergence.csv in that
     directory (also on solver failure, with the partial log)."""
+    mesh = initial_mesh(config)
     if config.out_dir is not None:
         os.makedirs(config.out_dir, exist_ok=True)
-    mesh = initial_mesh(config)
     result = ConvergenceLog()
     u_warm: P1Function | None = None
     lam_warm: float | None = None
@@ -132,11 +132,10 @@ def run_afem(config: AfemConfig) -> ConvergenceLog:
     try:
         while True:
             t0 = time.perf_counter()
-            ws = DCWorkspace(mesh)
             res = eigen.iiss(
                 mesh, config.p, eps_m=config.eps_m, max_m=config.max_iiss,
                 eps_n=config.eps_n, seed=config.seed + k, max_dc=config.max_dc,
-                u0=u_warm, lambda0=lam_warm, workspace=ws)
+                u0=u_warm, lambda0=lam_warm)
             edges = edge_table(mesh)
             ind = estimator.estimate_all(mesh, edges, res.mu_rayleigh,
                                          res.u_lp, config.p)

@@ -77,15 +77,16 @@ def torsion(mesh: Mesh, p: float, eps_n: float = 1e-5,
 
 def iiss(mesh: Mesh, p: float, eps_m: float = 1e-5, max_m: int = 200,
          eps_n: float = 1e-5, seed: int = DEFAULT_SEED, max_dc: int = 500,
-         u0: P1Function | None = None, lambda0: float | None = None,
-         workspace: DCWorkspace | None = None) -> EigenResult:
+         u0: P1Function | None = None, lambda0: float | None = None
+         ) -> EigenResult:
     """Inverse power iteration for the first eigenpair.
 
     With u0 given, the torsion start is skipped and the iteration proceeds
     from u0 (optionally with lambda0 seeding the stopping test); this is how
     the adaptive driver warm-starts on refined meshes.  The first inner
     solve of a call always uses the seeded random fields; later inner solves
-    reuse the previous sweep's auxiliary fields.
+    reuse the previous sweep's auxiliary fields.  All solves of a call,
+    the torsion start included, share one DCWorkspace of the mesh.
     """
     if eps_m <= 0:
         raise ValueError("eps_m must be positive")
@@ -94,7 +95,7 @@ def iiss(mesh: Mesh, p: float, eps_m: float = 1e-5, max_m: int = 200,
     if not np.any(~mesh.boundary_vertex):
         raise ValueError("mesh has no interior vertices; the trial space is "
                          "trivial")
-    ws = workspace if workspace is not None else DCWorkspace(mesh)
+    ws = DCWorkspace(mesh)
 
     dc_total = 0
     warm = None

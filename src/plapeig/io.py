@@ -10,11 +10,10 @@ doubles exactly.
 from __future__ import annotations
 
 import os
-from dataclasses import fields
 
 import numpy as np
 
-from .mesh import Mesh
+from .mesh import Mesh, edge_table
 from .fem import P1Function
 
 CSV_HEADER = "k,vertices,elements,mu,lambda_iiss,eta,iiss_iters,dc_iters,marked,seconds"
@@ -44,8 +43,12 @@ def save_mesh(mesh: Mesh, path: str) -> None:
 
 
 def load_mesh(path: str) -> Mesh:
-    """Read a mesh written by save_mesh; raises MeshFormatError with the
-    offending line number on malformed input."""
+    """Read a mesh written by save_mesh.
+
+    Raises MeshFormatError with the offending line number on malformed
+    input, on a vertex that no triangle uses and on a b flag that disagrees
+    with the topology; MeshConformityError on a clockwise or degenerate
+    triangle or a non-conforming mesh."""
     with open(path, "r", encoding="ascii") as fp:
         raw = fp.read().splitlines()
 
@@ -95,9 +98,18 @@ def load_mesh(path: str) -> Mesh:
                                   lineno)
         triangles[i] = idx
 
-    return Mesh(vertices=vertices, triangles=triangles,
-                boundary_vertex=boundary,
-                parent=np.full(nt, -1, dtype=np.int64))
+    unused = np.nonzero(np.bincount(triangles.ravel(), minlength=nv) == 0)[0]
+    if unused.size:
+        raise MeshFormatError("vertex is used by no triangle",
+                              int(2 + unused[0]))
+    mesh = Mesh(vertices=vertices, triangles=triangles)
+    mesh.areas  # raises on clockwise or degenerate triangles
+    edge_table(mesh)  # raises on non-conforming edges
+    wrong = np.nonzero(boundary != mesh.boundary_vertex)[0]
+    if wrong.size:
+        raise MeshFormatError("boundary flag disagrees with the mesh topology",
+                              int(2 + wrong[0]))
+    return mesh
 
 
 def write_vtk(mesh: Mesh, u: P1Function | None, path: str) -> None:
@@ -142,24 +154,3 @@ def write_convergence_csv(log, path: str) -> None:
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", encoding="ascii") as fp:
         fp.write("\n".join(lines) + "\n")
-
-
-def read_convergence_csv(path: str):
-    """Parse a convergence CSV back into a ConvergenceLog (stop_reason is
-    not stored in the file and comes back empty)."""
-    from .driver import ConvergenceLog, LogRow  # local import, no cycle at module load
-
-    with open(path, "r", encoding="ascii") as fp:
-        raw = fp.read().splitlines()
-    if not raw or raw[0] != CSV_HEADER:
-        raise ValueError("unrecognized convergence CSV header")
-    out = ConvergenceLog()
-    types = [int, int, int, float, float, float, int, int, int, float]
-    names = [f.name for f in fields(LogRow)]
-    for line in raw[1:]:
-        parts = line.split(",")
-        if len(parts) != len(types):
-            raise ValueError(f"malformed CSV row: {line!r}")
-        out.rows.append(LogRow(**{n: t(s) for n, t, s
-                                  in zip(names, types, parts)}))
-    return out

@@ -23,49 +23,48 @@ class MeshConformityError(ValueError):
 
 @dataclass(frozen=True)
 class Mesh:
-    """Immutable conforming triangulation.
+    """Immutable triangulation; per-mesh data is derived on first use.
 
     vertices        (nv, 2) float64 coordinates
     triangles       (nt, 3) int64, counterclockwise, refinement edge opposite
                     local vertex 0
-    boundary_vertex (nv,) bool
     parent          (nt,) int64 index of the ancestor triangle in the mesh
-                    that was refined to produce this one; -1 for root meshes
+                    that was refined to produce this one; -1 (the default)
+                    for root meshes
     snap_to_unit_circle  boundary vertices created by refinement are pushed
                     radially onto the unit circle (disk meshes)
     vertex_parents  (nv, 2) int64 endpoint indices of the edge whose midpoint
-                    created each vertex; (-1, -1) for original vertices
+                    created each vertex; (-1, -1) (the default) for original
+                    vertices
+
+    Areas, basis gradients, the edge numbering and the boundary flags are
+    cached read-only properties computed from these fields.
     """
 
     vertices: np.ndarray
     triangles: np.ndarray
-    boundary_vertex: np.ndarray
-    parent: np.ndarray
+    parent: np.ndarray = None  # type: ignore[assignment]
     snap_to_unit_circle: bool = False
     vertex_parents: np.ndarray = field(default=None, repr=False)  # type: ignore[assignment]
 
     def __post_init__(self):
         v = np.ascontiguousarray(self.vertices, dtype=np.float64)
         t = np.ascontiguousarray(self.triangles, dtype=np.int64)
-        b = np.ascontiguousarray(self.boundary_vertex, dtype=bool)
-        p = np.ascontiguousarray(self.parent, dtype=np.int64)
-        vp = self.vertex_parents
-        if vp is None:
-            vp = np.full((len(v), 2), -1, dtype=np.int64)
-        else:
-            vp = np.ascontiguousarray(vp, dtype=np.int64)
         if v.ndim != 2 or v.shape[1] != 2:
             raise ValueError("vertices must have shape (nv, 2)")
         if t.ndim != 2 or t.shape[1] != 3:
             raise ValueError("triangles must have shape (nt, 3)")
-        if b.shape != (len(v),):
-            raise ValueError("boundary_vertex length must match vertex count")
+        p, vp = self.parent, self.vertex_parents
+        p = (np.full(len(t), -1, dtype=np.int64) if p is None
+             else np.ascontiguousarray(p, dtype=np.int64))
+        vp = (np.full((len(v), 2), -1, dtype=np.int64) if vp is None
+              else np.ascontiguousarray(vp, dtype=np.int64))
         if p.shape != (len(t),):
             raise ValueError("parent length must match triangle count")
         if len(t) and (t.min() < 0 or t.max() >= len(v)):
             raise ValueError("triangle vertex index out of range")
-        for arr, name in ((v, "vertices"), (t, "triangles"), (b, "boundary_vertex"),
-                          (p, "parent"), (vp, "vertex_parents")):
+        for arr, name in ((v, "vertices"), (t, "triangles"), (p, "parent"),
+                          (vp, "vertex_parents")):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -110,6 +109,35 @@ class Mesh:
         g.setflags(write=False)
         return g
 
+    @cached_property
+    def edge_numbering(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Global edge numbers: (codes (ne,), edge_id (nt, 3), counts (ne,)).
+
+        Edge e joins vertices codes[e] // nv and codes[e] % nv (smaller index
+        first); edge_id[t, j] numbers the edge of triangle t opposite its
+        local vertex j; counts[e] is how many triangles hold edge e (1 on the
+        boundary).  edge_table, refine and boundary_vertex all read this.
+        """
+        a, b = _edge_arrays(self.triangles)
+        flat = np.minimum(a, b) * self.num_vertices + np.maximum(a, b)
+        codes, edge_id, counts = np.unique(flat.ravel(), return_inverse=True,
+                                           return_counts=True)
+        edge_id = edge_id.reshape(a.shape)
+        for arr in (codes, edge_id, counts):
+            arr.setflags(write=False)
+        return codes, edge_id, counts
+
+    @cached_property
+    def boundary_vertex(self) -> np.ndarray:
+        """(nv,) bool: the vertex lies on an edge that only one triangle has."""
+        codes, _, counts = self.edge_numbering
+        bnd = codes[counts == 1]
+        flags = np.zeros(self.num_vertices, dtype=bool)
+        flags[bnd // self.num_vertices] = True
+        flags[bnd % self.num_vertices] = True
+        flags.setflags(write=False)
+        return flags
+
 
 @dataclass(frozen=True)
 class EdgeTable:
@@ -126,7 +154,6 @@ class EdgeTable:
     int_tri_minus: np.ndarray  # (ne_i,) int
     int_normals: np.ndarray    # (ne_i, 2) float
     int_lengths: np.ndarray    # (ne_i,) float
-    bnd_vertices: np.ndarray   # (ne_b, 2) int
     bnd_tri: np.ndarray        # (ne_b,) int
 
     @property
@@ -145,32 +172,17 @@ def _edge_arrays(triangles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
-def _unique_edges(triangles: np.ndarray, nv: int):
-    """Canonical edge ids: codes of the sorted vertex pair of every local edge.
-
-    Returns (codes (n_unique,), edge_id (nt, 3), counts (n_unique,)).
-    """
-    a, b = _edge_arrays(triangles)
-    lo = np.minimum(a, b)
-    hi = np.maximum(a, b)
-    flat = lo.astype(np.int64) * nv + hi.astype(np.int64)
-    codes, edge_id, counts = np.unique(flat.ravel(), return_inverse=True,
-                                       return_counts=True)
-    return codes, edge_id.reshape(a.shape), counts
-
-
 def edge_table(mesh: Mesh) -> EdgeTable:
-    """Build the edge table, validating conformity.
+    """Build the edge table from `mesh.edge_numbering`, validating conformity.
 
     Raises MeshConformityError if an edge is shared by more than two
     triangles, the two triangles sharing an edge traverse it in the same
-    direction, the boundary is not a 1-manifold (the signature of hanging
-    nodes), or the stored boundary flags disagree with the topology.
+    direction, or the boundary is not a 1-manifold (the signature of
+    hanging nodes).
     """
-    nt = mesh.num_triangles
     nv = mesh.num_vertices
     a, b = _edge_arrays(mesh.triangles)
-    codes, edge_id, counts = _unique_edges(mesh.triangles, nv)
+    codes, edge_id, counts = mesh.edge_numbering
     if np.any(counts > 2):
         raise MeshConformityError("an edge is shared by more than two triangles")
 
@@ -178,11 +190,9 @@ def edge_table(mesh: Mesh) -> EdgeTable:
     order = np.argsort(edge_id.ravel(), kind="stable")
     tri_of = order // 3
     loc_of = order % 3
-    starts = np.concatenate(([0], np.cumsum(counts)))
+    first = np.concatenate(([0], np.cumsum(counts)[:-1]))
 
-    interior = counts == 2
-    first = starts[:-1]
-    int_ids = np.nonzero(interior)[0]
+    int_ids = np.nonzero(counts == 2)[0]
     plus_occ = first[int_ids]
     minus_occ = plus_occ + 1
     t_plus = tri_of[plus_occ]
@@ -200,22 +210,15 @@ def edge_table(mesh: Mesh) -> EdgeTable:
     # Outward normal of the plus triangle: edge vector rotated by -90 degrees.
     normals = np.column_stack((evec[:, 1], -evec[:, 0])) / lengths[:, None]
 
-    bnd_ids = np.nonzero(counts == 1)[0]
-    bnd_occ = first[bnd_ids]
-    t_bnd = tri_of[bnd_occ]
-    a_bnd = a[t_bnd, loc_of[bnd_occ]]
-    b_bnd = b[t_bnd, loc_of[bnd_occ]]
-
     # Boundary must be a 1-manifold: exactly two boundary edges per boundary
     # vertex.  A hanging node leaves its host edge unmatched and shows up here.
-    bnd_valence = np.bincount(np.concatenate((a_bnd, b_bnd)), minlength=nv)
-    on_boundary = bnd_valence > 0
-    if np.any(bnd_valence[on_boundary] != 2):
+    bnd_ids = np.nonzero(counts == 1)[0]
+    bnd = codes[bnd_ids]
+    bnd_valence = np.bincount(np.concatenate((bnd // nv, bnd % nv)),
+                              minlength=nv)
+    if np.any(bnd_valence[bnd_valence > 0] != 2):
         raise MeshConformityError("boundary is not a closed polygonal curve "
                                   "(hanging node or pinched vertex)")
-    if np.any(on_boundary != mesh.boundary_vertex):
-        raise MeshConformityError("stored boundary flags disagree with the "
-                                  "mesh topology")
 
     return EdgeTable(
         int_vertices=np.column_stack((a_plus, b_plus)),
@@ -223,29 +226,7 @@ def edge_table(mesh: Mesh) -> EdgeTable:
         int_tri_minus=t_minus,
         int_normals=normals,
         int_lengths=lengths,
-        bnd_vertices=np.column_stack((a_bnd, b_bnd)),
-        bnd_tri=t_bnd,
-    )
-
-
-def _derive_boundary_flags(triangles: np.ndarray, nv: int) -> np.ndarray:
-    codes, edge_id, counts = _unique_edges(triangles, nv)
-    bnd_codes = codes[counts == 1]
-    flags = np.zeros(nv, dtype=bool)
-    flags[bnd_codes // nv] = True
-    flags[bnd_codes % nv] = True
-    return flags
-
-
-def _root_mesh(vertices, triangles, snap=False) -> Mesh:
-    vertices = np.asarray(vertices, dtype=np.float64)
-    triangles = np.asarray(triangles, dtype=np.int64)
-    return Mesh(
-        vertices=vertices,
-        triangles=triangles,
-        boundary_vertex=_derive_boundary_flags(triangles, len(vertices)),
-        parent=np.full(len(triangles), -1, dtype=np.int64),
-        snap_to_unit_circle=snap,
+        bnd_tri=tri_of[first[bnd_ids]],
     )
 
 
@@ -271,7 +252,7 @@ def generate_unit_square(n: int) -> Mesh:
             ne, nw = vid(i + 1, j + 1), vid(i, j + 1)
             tris.append((se, ne, sw))  # lower triangle, hypotenuse (ne, sw)
             tris.append((nw, sw, ne))  # upper triangle, hypotenuse (sw, ne)
-    return _root_mesh(vertices, tris)
+    return Mesh(vertices, tris)
 
 
 def generate_lshape(n: int) -> Mesh:
@@ -302,7 +283,7 @@ def generate_lshape(n: int) -> Mesh:
             ne, nw = vid(i + 1, j + 1), vid(i, j + 1)
             tris.append((se, ne, sw))
             tris.append((nw, sw, ne))
-    return _root_mesh(np.array(vertices), tris)
+    return Mesh(vertices, tris)
 
 
 def generate_disk(levels: int) -> Mesh:
@@ -313,7 +294,8 @@ def generate_disk(levels: int) -> Mesh:
     ang = np.arange(6) * (np.pi / 3.0)
     vertices = np.vstack(([0.0, 0.0], np.column_stack((np.cos(ang), np.sin(ang)))))
     tris = [(0, 1 + k, 1 + (k + 1) % 6) for k in range(6)]  # chord opposite center
-    return refine_uniform(_root_mesh(vertices, tris, snap=True), levels)
+    return refine_uniform(Mesh(vertices, tris, snap_to_unit_circle=True),
+                          levels)
 
 
 def refine(mesh: Mesh, marked) -> Mesh:
@@ -334,7 +316,7 @@ def refine(mesh: Mesh, marked) -> Mesh:
     if marked.min() < 0 or marked.max() >= nt:
         raise ValueError(f"marked triangle index out of range [0, {nt})")
 
-    codes, edge_id, counts = _unique_edges(mesh.triangles, nv)
+    codes, edge_id, counts = mesh.edge_numbering
     n_edges = len(codes)
 
     # Closure fixpoint over split edges: refinement edge is local edge 0.
@@ -360,7 +342,6 @@ def refine(mesh: Mesh, marked) -> Mesh:
         new_pts[new_bnd] /= r[:, None]
 
     vertices = np.vstack((mesh.vertices, new_pts))
-    boundary = np.concatenate((mesh.boundary_vertex, new_bnd))
     vertex_parents = np.vstack((mesh.vertex_parents,
                                 np.column_stack((ea, eb))))
 
@@ -398,7 +379,6 @@ def refine(mesh: Mesh, marked) -> Mesh:
     return Mesh(
         vertices=vertices,
         triangles=np.vstack(chunks_tri),
-        boundary_vertex=boundary,
         parent=np.concatenate(chunks_par),
         snap_to_unit_circle=mesh.snap_to_unit_circle,
         vertex_parents=vertex_parents,

@@ -170,6 +170,8 @@ def dc_solve(mesh: Mesh, f, p: float, eps_n: float = 1e-5, max_iter: int = 500,
         raise ValueError("p must exceed 1")
     if eps_n <= 0:
         raise ValueError("eps_n must be positive")
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
     ws = workspace if workspace is not None else DCWorkspace(mesh)
     nt = mesh.num_triangles
     q = p / (p - 1.0)

@@ -10,8 +10,6 @@ def ref_triangle() -> Mesh:
     return Mesh(
         vertices=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
         triangles=np.array([[0, 1, 2]]),
-        boundary_vertex=np.array([True, True, True]),
-        parent=np.full(1, -1, dtype=np.int64),
     )
 
 

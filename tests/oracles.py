@@ -7,9 +7,13 @@ the implementation under test.
 """
 
 import itertools
+from dataclasses import fields
 from math import factorial
 
 import numpy as np
+
+from plapeig.driver import ConvergenceLog, LogRow
+from plapeig.io import CSV_HEADER
 
 
 def monomial_integral(a: int, b: int) -> float:
@@ -155,3 +159,22 @@ def residual_q_power_direct(mesh_pts, tri, coeffs, mu: float, p: float,
     integral = area * np.dot(w, residual ** q)
     h_t = area ** 0.5
     return h_t ** q * integral
+
+
+def read_convergence_csv(path: str) -> ConvergenceLog:
+    """Parse a convergence CSV back into a ConvergenceLog (stop_reason is
+    not stored in the file and comes back empty)."""
+    with open(path, "r", encoding="ascii") as fp:
+        raw = fp.read().splitlines()
+    if not raw or raw[0] != CSV_HEADER:
+        raise ValueError("unrecognized convergence CSV header")
+    out = ConvergenceLog()
+    types = [int, int, int, float, float, float, int, int, int, float]
+    names = [f.name for f in fields(LogRow)]
+    for line in raw[1:]:
+        parts = line.split(",")
+        if len(parts) != len(types):
+            raise ValueError(f"malformed CSV row: {line!r}")
+        out.rows.append(LogRow(**{n: t(s) for n, t, s
+                                  in zip(names, types, parts)}))
+    return out

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from plapeig import cli, eigen, estimator, fem, io, plap
+from plapeig import cli, eigen, estimator, fem, plap
 from plapeig.driver import AfemConfig, run_afem
 from plapeig.estimator import IndicatorSet, dorfler_mark
 from plapeig.fem import P1Function
@@ -38,7 +38,7 @@ def square_p2_run(tmp_path_factory):
         "--seed", "42", "--out", str(out)])
     elapsed = time.perf_counter() - t0
     assert code == 0
-    log = io.read_convergence_csv(str(out / "convergence.csv"))
+    log = oracles.read_convergence_csv(str(out / "convergence.csv"))
     return log, elapsed
 
 

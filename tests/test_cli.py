@@ -11,6 +11,29 @@ from plapeig.cli import UsageError, main, parse_cli
 from plapeig.mesh import Mesh, generate_unit_square
 
 
+def write_bad_mesh_file(kind: str, path: Path) -> None:
+    """Write a mesh file of the given kind that load_mesh must reject."""
+    m = generate_unit_square(3)
+    if kind == "clockwise":
+        tri = m.triangles.copy()
+        tri[4] = tri[4, [0, 2, 1]]
+        m = Mesh(vertices=m.vertices, triangles=tri)
+    elif kind == "hanging_node":
+        # the diagonal midpoint of the unit square hangs on one side
+        m = Mesh(vertices=[[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0],
+                           [0.5, 0.5]],
+                 triangles=[[1, 2, 0], [4, 3, 0], [2, 3, 4]])
+    io.save_mesh(m, str(path))
+    lines = path.read_text().splitlines()
+    nv, nt = (int(s) for s in lines[0].split())
+    if kind == "wrong_flag":
+        lines[1] = lines[1][:-1] + "0"  # vertex 0 is a corner
+    elif kind == "orphan_vertex":
+        lines[0] = f"{nv + 1} {nt}"
+        lines.insert(1 + nv, "0.5 0.5 0")
+    path.write_text("\n".join(lines) + "\n")
+
+
 class TestParse:
     def test_run_flag_mapping(self):
         a = parse_cli(["run", "--domain", "square", "--p", "2",
@@ -58,18 +81,17 @@ class TestMain:
         assert main(["run", "--domain", "blob",
                      "--out", str(tmp_path / "o")]) == 1
 
-    def test_clockwise_mesh_file_is_usage_error(self, tmp_path, capsys):
-        m = generate_unit_square(3)
-        tri = m.triangles.copy()
-        tri[4] = tri[4, [0, 2, 1]]  # one clockwise triangle
-        path = tmp_path / "cw.txt"
-        io.save_mesh(Mesh(vertices=m.vertices, triangles=tri,
-                          boundary_vertex=m.boundary_vertex, parent=m.parent),
-                     str(path))
+    @pytest.mark.parametrize("kind", ["clockwise", "wrong_flag",
+                                      "orphan_vertex", "hanging_node"])
+    def test_bad_mesh_file_is_usage_error(self, kind, tmp_path, capsys):
+        path = tmp_path / "bad.txt"
+        write_bad_mesh_file(kind, path)
+        out = tmp_path / "o"
         assert main(["run", "--domain", f"file:{path}",
-                     "--out", str(tmp_path / "o")]) == 1
+                     "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert "usage error:" in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_solver_failure_exit_code(self, capsys):
         # an iteration cap this low cannot satisfy the tolerance for p != 2

@@ -5,6 +5,8 @@ from plapeig import io
 from plapeig.driver import AfemConfig, ConvergenceLog, initial_mesh, run_afem
 from plapeig.mesh import generate_unit_square
 
+import oracles
+
 TWO_PI_SQ = 2.0 * np.pi ** 2
 
 
@@ -80,7 +82,7 @@ class TestRunAfem:
         assert (out / "eigenfunction.vtk").exists()
         csv = out / "convergence.csv"
         assert csv.exists()
-        back = io.read_convergence_csv(str(csv))
+        back = oracles.read_convergence_csv(str(csv))
         assert [r.mu for r in back.rows] == [r.mu for r in log.rows]
         assert [r.vertices for r in back.rows] == [r.vertices for r in log.rows]
 

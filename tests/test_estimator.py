@@ -96,8 +96,7 @@ class TestElementIndicator:
         rot = np.array([[np.cos(ang), -np.sin(ang)],
                         [np.sin(ang), np.cos(ang)]])
         moved = Mesh(vertices=m.vertices @ rot.T + np.array([2.0, -1.0]),
-                     triangles=m.triangles,
-                     boundary_vertex=m.boundary_vertex, parent=m.parent)
+                     triangles=m.triangles, parent=m.parent)
         ind1 = estimate_all(moved, edge_table(moved), 1.3,
                             p1(moved, coeffs), 2.5)
         assert np.allclose(ind0.eta_q, ind1.eta_q, rtol=1e-10)

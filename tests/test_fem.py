@@ -151,9 +151,7 @@ class TestDirichletSolve:
     def test_degenerate_triangle_rejected(self):
         from plapeig.mesh import Mesh, MeshConformityError
         bad = Mesh(vertices=np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]),
-                   triangles=np.array([[0, 1, 2]]),
-                   boundary_vertex=np.array([True] * 3),
-                   parent=np.full(1, -1, dtype=np.int64))
+                   triangles=np.array([[0, 1, 2]]))
         with pytest.raises(MeshConformityError):
             fem.assemble_stiffness(bad)
 

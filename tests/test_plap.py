@@ -145,6 +145,8 @@ class TestDCSolve:
             plap.dc_solve(m, 1.0, 1.0)
         with pytest.raises(ValueError):
             plap.dc_solve(m, 1.0, 2.0, eps_n=0.0)
+        with pytest.raises(ValueError, match="max_iter must be at least 1"):
+            plap.dc_solve(m, 1.0, 2.0, max_iter=0)
         with pytest.raises(ValueError):
             plap.dc_solve(m, 1.0, 2.0, init=(np.zeros((2, 2)),
                                              np.zeros((2, 2))))
