@@ -36,7 +36,8 @@ class AfemConfig:
     cells-per-unit-length of the structured generators (bisection rounds for
     the disk) and is ignored for file meshes.  cold_start disables the
     warm-started eigensolve on refined meshes and reruns the full iteration
-    including the torsion start on every level.
+    on every level, including the torsion start from random auxiliary fields
+    drawn from seed + k.
     """
 
     domain: str
@@ -114,7 +115,10 @@ def initial_mesh(config: AfemConfig) -> Mesh:
 
 def run_afem(config: AfemConfig) -> ConvergenceLog:
     """Run the adaptive loop until the eigenvalue stabilizes or the loop cap
-    is reached; returns the per-loop convergence log.
+    is reached; returns the per-loop convergence log.  A SolverError, which
+    includes an inverse iteration that does not converge within max_iiss
+    sweeps, ends the log with a NaN row and a stop_reason starting with
+    "error:".
 
     When config.out_dir is set, every loop's mesh is written as mesh_<k>.vtk
     and the run finishes with eigenfunction.vtk and convergence.csv in that
@@ -125,6 +129,7 @@ def run_afem(config: AfemConfig) -> ConvergenceLog:
     result = ConvergenceLog()
     u_warm: P1Function | None = None
     lam_warm: float | None = None
+    fields_warm: tuple[np.ndarray, np.ndarray] | None = None
     mu_prev: float | None = None
 
     k = 0
@@ -135,7 +140,10 @@ def run_afem(config: AfemConfig) -> ConvergenceLog:
             res = eigen.iiss(
                 mesh, config.p, eps_m=config.eps_m, max_m=config.max_iiss,
                 eps_n=config.eps_n, seed=config.seed + k, max_dc=config.max_dc,
-                u0=u_warm, lambda0=lam_warm)
+                u0=u_warm, lambda0=lam_warm, fields0=fields_warm)
+            if not res.converged:
+                raise fem.SolverError(f"inverse iteration did not converge "
+                                      f"within {config.max_iiss} sweeps")
             edges = edge_table(mesh)
             ind = estimator.estimate_all(mesh, edges, res.mu_rayleigh,
                                          res.u_lp, config.p)
@@ -172,6 +180,8 @@ def run_afem(config: AfemConfig) -> ConvergenceLog:
                 u_warm = P1Function(fine, prolong_vertex_values(
                     fine, res.u_sup.coeffs))
                 lam_warm = res.lambda_iiss
+                # piecewise constants transfer exactly to nested children
+                fields_warm = tuple(f[fine.parent] for f in res.fields)
             mesh = fine
             k += 1
     except fem.SolverError as err:

@@ -43,6 +43,9 @@ class EigenResult:
     converged           eigenvalue change fell below tolerance
     lambda_history      lambda after every sweep, starting value included
     min_vertex_value    most negative vertex value seen across iterates
+    fields              (xi, nu), the auxiliary fields of the last inner
+                        solve, each (nt, 2); mapped through Mesh.parent they
+                        warm-start the first inner solve on a refinement
     """
 
     lambda_iiss: float
@@ -54,6 +57,7 @@ class EigenResult:
     converged: bool
     lambda_history: list = field(default_factory=list)
     min_vertex_value: float = 0.0
+    fields: tuple[np.ndarray, np.ndarray] | None = None
 
 
 def torsion(mesh: Mesh, p: float, eps_n: float = 1e-5,
@@ -77,16 +81,19 @@ def torsion(mesh: Mesh, p: float, eps_n: float = 1e-5,
 
 def iiss(mesh: Mesh, p: float, eps_m: float = 1e-5, max_m: int = 200,
          eps_n: float = 1e-5, seed: int = DEFAULT_SEED, max_dc: int = 500,
-         u0: P1Function | None = None, lambda0: float | None = None
+         u0: P1Function | None = None, lambda0: float | None = None,
+         fields0: tuple[np.ndarray, np.ndarray] | None = None
          ) -> EigenResult:
     """Inverse power iteration for the first eigenpair.
 
     With u0 given, the torsion start is skipped and the iteration proceeds
-    from u0 (optionally with lambda0 seeding the stopping test); this is how
-    the adaptive driver warm-starts on refined meshes.  The first inner
-    solve of a call always uses the seeded random fields; later inner solves
-    reuse the previous sweep's auxiliary fields.  All solves of a call,
-    the torsion start included, share one DCWorkspace of the mesh.
+    from u0 (optionally with lambda0 seeding the stopping test, and fields0,
+    an (xi, nu) pair of (nt, 2) arrays, starting the first inner solve);
+    this is how the adaptive driver warm-starts on refined meshes.  Without
+    fields0 the first inner solve (the torsion start, if u0 is not given)
+    uses the random fields drawn from seed; every later inner solve reuses
+    the previous solve's auxiliary fields.  All solves of a call, the
+    torsion start included, share one DCWorkspace of the mesh.
     """
     if eps_m <= 0:
         raise ValueError("eps_m must be positive")
@@ -95,10 +102,13 @@ def iiss(mesh: Mesh, p: float, eps_m: float = 1e-5, max_m: int = 200,
     if not np.any(~mesh.boundary_vertex):
         raise ValueError("mesh has no interior vertices; the trial space is "
                          "trivial")
+    if fields0 is not None and u0 is None:
+        raise ValueError("fields0 needs u0: the torsion start draws its own "
+                         "fields")
     ws = DCWorkspace(mesh)
 
     dc_total = 0
-    warm = None
+    warm = fields0
     if u0 is None:
         u, report = torsion(mesh, p, eps_n=eps_n, seed=seed, max_dc=max_dc,
                             workspace=ws)
@@ -161,4 +171,5 @@ def iiss(mesh: Mesh, p: float, eps_m: float = 1e-5, max_m: int = 200,
         converged=converged,
         lambda_history=history,
         min_vertex_value=min_vertex,
+        fields=warm,
     )

@@ -100,13 +100,26 @@ def assemble_stiffness(mesh: Mesh) -> sp.csr_matrix:
     """
     areas = mesh.areas  # raises on degenerate triangles
     g = mesh.basis_gradients
-    local = np.einsum("tid,tjd->tij", g, g) * areas[:, None, None]
+    return _scatter(mesh, np.einsum("tid,tjd->tij", g, g)
+                    * areas[:, None, None])
+
+
+def assemble_mass(mesh: Mesh) -> sp.csr_matrix:
+    """Mass matrix M_ij = sum_T int_T phi_i phi_j, elementwise
+    |T|/12 (1 + delta_ij); c^T M c is the squared L2 norm of the P1
+    function with coefficients c."""
+    local = mesh.areas[:, None, None] / 12.0 * (1.0 + np.eye(3))
+    return _scatter(mesh, local)
+
+
+def _scatter(mesh: Mesh, local: np.ndarray) -> sp.csr_matrix:
+    """Global (nv, nv) matrix summing the (nt, 3, 3) element matrices."""
     tri = mesh.triangles
     rows = np.repeat(tri, 3, axis=1).ravel()
     cols = np.tile(tri, (1, 3)).ravel()
     nv = mesh.num_vertices
-    K = sp.coo_matrix((local.ravel(), (rows, cols)), shape=(nv, nv))
-    return K.tocsr()
+    return sp.coo_matrix((local.ravel(), (rows, cols)),
+                         shape=(nv, nv)).tocsr()
 
 
 def assemble_rhs(mesh: Mesh, f) -> np.ndarray:
@@ -140,9 +153,12 @@ class DirichletFactor:
 
     Solves K u = b on interior vertices with u = 0 on boundary vertices:
     one factorization per mesh, then one cheap triangular solve per
-    right-hand side.  Every solve guarantees a relative residual of at most
-    SOLVE_RTOL on the interior block or raises SolverError carrying the
-    achieved residual.
+    right-hand side.  The interior block is symmetric positive definite, so
+    SuperLU runs in symmetric mode: a minimum-degree ordering of A^T + A
+    and pivots taken from the diagonal, which keeps the fill of L + U well
+    below that of the default column ordering.  Every solve guarantees a
+    relative residual of at most SOLVE_RTOL on the interior block or raises
+    SolverError carrying the achieved residual.
     """
 
     def __init__(self, K: sp.spmatrix, boundary: np.ndarray):
@@ -152,7 +168,10 @@ class DirichletFactor:
         self.idx = np.nonzero(~boundary)[0]
         self._A = K.tocsr()[self.idx][:, self.idx]
         self.n = K.shape[0]
-        self._lu = spla.splu(self._A.tocsc()) if len(self.idx) else None
+        self._lu = (spla.splu(self._A.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                              diag_pivot_thresh=0.0,
+                              options=dict(SymmetricMode=True))
+                    if len(self.idx) else None)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         u = np.zeros(self.n)

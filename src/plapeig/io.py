@@ -10,6 +10,7 @@ doubles exactly.
 from __future__ import annotations
 
 import os
+from itertools import starmap
 
 import numpy as np
 
@@ -122,11 +123,11 @@ def write_vtk(mesh: Mesh, u: P1Function | None, path: str) -> None:
         "DATASET UNSTRUCTURED_GRID",
         f"POINTS {mesh.num_vertices} double",
     ]
-    for x, y in mesh.vertices:
-        lines.append(f"{_fmt(x)} {_fmt(y)} 0")
+    # Python floats and ints from tolist() format much faster than NumPy
+    # scalars, with the same digits.
+    lines.extend(starmap("{:.17g} {:.17g} 0".format, mesh.vertices.tolist()))
     lines.append(f"CELLS {mesh.num_triangles} {4 * mesh.num_triangles}")
-    for t in mesh.triangles:
-        lines.append(f"3 {t[0]} {t[1]} {t[2]}")
+    lines.extend([f"3 {a} {b} {c}" for a, b, c in mesh.triangles.tolist()])
     lines.append(f"CELL_TYPES {mesh.num_triangles}")
     lines.extend(["5"] * mesh.num_triangles)
     if u is not None:
@@ -135,7 +136,7 @@ def write_vtk(mesh: Mesh, u: P1Function | None, path: str) -> None:
         lines.append(f"POINT_DATA {mesh.num_vertices}")
         lines.append("SCALARS u double 1")
         lines.append("LOOKUP_TABLE default")
-        lines.extend(_fmt(v) for v in u.coeffs)
+        lines.extend(map(_fmt, u.coeffs.tolist()))
     with open(path, "w", encoding="ascii") as fp:
         fp.write("\n".join(lines) + "\n")
 

@@ -400,12 +400,24 @@ def prolong_vertex_values(fine: Mesh, coarse_values: np.ndarray) -> np.ndarray:
     nv_c = len(coarse_values)
     if nv_c > fine.num_vertices:
         raise ValueError("fine mesh has fewer vertices than the source values")
-    out = np.empty(fine.num_vertices)
+    nv = fine.num_vertices
+    out = np.empty(nv)
     out[:nv_c] = coarse_values
     parents = fine.vertex_parents
-    for i in range(nv_c, fine.num_vertices):
-        a, b = parents[i]
-        if a < 0:
-            raise ValueError(f"vertex {i} has no recorded parent edge")
-        out[i] = 0.5 * (out[a] + out[b])
+    orphans = np.nonzero(parents[nv_c:, 0] < 0)[0]
+    if orphans.size:
+        raise ValueError(f"vertex {nv_c + orphans[0]} has no recorded "
+                         f"parent edge")
+    # One step per block of vertices whose parents all precede the block;
+    # one refine adds a single such block.
+    i = nv_c
+    while i < nv:
+        late = np.nonzero(parents[i:].max(axis=1) >= i)[0]
+        j = i + late[0] if late.size else nv
+        if j == i:
+            raise ValueError(f"vertex {i} has a parent edge that is not "
+                             f"older than itself")
+        a, b = parents[i:j].T
+        out[i:j] = 0.5 * (out[a] + out[b])
+        i = j
     return out

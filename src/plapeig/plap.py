@@ -17,7 +17,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import fem
-from .fem import DEGREE5, DirichletFactor, P1Function
+from .fem import DirichletFactor, P1Function, SolverError
 from .mesh import Mesh
 
 log = logging.getLogger(__name__)
@@ -31,7 +31,9 @@ def resolvent_many(s: np.ndarray, p: float) -> np.ndarray:
 
     The left-hand side is strictly increasing on r >= 0, so the root exists
     and is unique for every s >= 0.  Each result satisfies
-    |r^{p-1} + r - s| <= 1e-13 * max(1, s).
+    |r^{p-1} + r - s| <= 1e-13 * max(1, s); an entry that misses this
+    raises SolverError (e.g. for p close to 1, where the root of a tiny s
+    underflows).
 
     Safeguarded Newton with a bisection fallback.  The root is bracketed in
     [0, min(s, s^{1/(p-1)})] (both bounds dominate it; the min avoids
@@ -62,15 +64,16 @@ def resolvent_many(s: np.ndarray, p: float) -> np.ndarray:
         above = phi >= 0.0
         hi = np.where(~done & above, rr, hi)
         lo = np.where(~done & ~above, rr, lo)
-        dphi = (p - 1.0) * rr ** (p - 2.0) + 1.0
+        with np.errstate(divide="ignore"):  # rr = 0 for p < 2: bisect
+            dphi = (p - 1.0) * rr ** (p - 2.0) + 1.0
         step = rr - phi / dphi
         bad = ~np.isfinite(step) | (step <= lo) | (step >= hi)
         rr = np.where(done, rr, np.where(bad, 0.5 * (lo + hi), step))
     residual = np.abs(rr ** (p - 1.0) + rr - sv)
     if np.any(residual > tol):
         worst = float(residual.max())
-        raise RuntimeError(f"resolvent iteration failed to converge "
-                           f"(worst residual {worst:.3e})")
+        raise SolverError(f"resolvent iteration failed to converge "
+                          f"(worst residual {worst:.3e})", residual=worst)
     r[active] = rr
     return r
 
@@ -112,15 +115,17 @@ class DCReport:
 class DCWorkspace:
     """Per-mesh cache for repeated p-Laplacian solves.
 
-    Holds the stiffness matrix, its factorized interior block, and the
-    scatter operator mapping a piecewise-constant vector field g to the load
-    contribution -sum_T |T| g . grad(phi_i).
+    Holds the stiffness matrix, its factorized interior block, the mass
+    matrix behind the L2 norm of the stopping test, and the scatter operator
+    mapping a piecewise-constant vector field g to the load contribution
+    -sum_T |T| g . grad(phi_i).
     """
 
     def __init__(self, mesh: Mesh):
         self.mesh = mesh
         self.stiffness = fem.assemble_stiffness(mesh)
         self.factor = DirichletFactor(self.stiffness, mesh.boundary_vertex)
+        self.mass = fem.assemble_mass(mesh)
         nt = mesh.num_triangles
         # (nt, 3, 2)
         data = mesh.areas[:, None, None] * mesh.basis_gradients
@@ -137,9 +142,8 @@ class DCWorkspace:
         return -(self._div @ g.ravel())
 
     def l2_norm(self, coeffs: np.ndarray) -> float:
-        vals = coeffs[self.mesh.triangles] @ DEGREE5.points.T
-        return float(np.sqrt(np.einsum("tq,q,t->", vals * vals,
-                                       DEGREE5.weights, self.mesh.areas)))
+        """L2 norm of the P1 function with the given coefficients (exact)."""
+        return float(np.sqrt(coeffs @ (self.mass @ coeffs)))
 
 
 def random_fields(mesh: Mesh, seed: int = DEFAULT_SEED) -> tuple[np.ndarray, np.ndarray]:

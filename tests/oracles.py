@@ -142,6 +142,16 @@ def degree5_rule():
     return np.array(pts), np.array(wts)  # barycentric lambda_1, lambda_2
 
 
+def l2_norm_quadrature(mesh, coeffs) -> float:
+    """L2 norm of a P1 function by the degree-5 rule on every triangle
+    (exact: the integrand u^2 is quadratic)."""
+    lam, w = degree5_rule()
+    c = np.asarray(coeffs, dtype=float)[mesh.triangles]  # (nt, 3)
+    vals = (c[:, :1] * (1.0 - lam[:, 0] - lam[:, 1])
+            + c[:, 1:2] * lam[:, 0] + c[:, 2:] * lam[:, 1])  # (nt, nq)
+    return float(np.sqrt(np.sum(mesh.areas * ((vals * vals) @ w))))
+
+
 def residual_q_power_direct(mesh_pts, tri, coeffs, mu: float, p: float,
                             element: int) -> float:
     """Direct quadrature of h_T^q int_T |mu |u|^{p-2} u|^q without using the

@@ -1,14 +1,18 @@
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import plapeig
-from plapeig import io
+from plapeig import io, plap
 from plapeig.cli import UsageError, main, parse_cli
 from plapeig.mesh import Mesh, generate_unit_square
+
+import oracles
 
 
 def write_bad_mesh_file(kind: str, path: Path) -> None:
@@ -98,6 +102,33 @@ class TestMain:
         code = main(["solve-plap", "--domain", "square", "--resolution", "6",
                      "--p", "3", "--max-dc", "2"])
         assert code == 2
+
+    def test_unconverged_inverse_iteration_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        code = main(["run", "--domain", "square", "--resolution", "4",
+                     "--max-iiss", "1", "--out", str(out)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert ("stop: error: inverse iteration did not converge within 1 "
+                "sweeps") in captured.out
+        assert "Traceback" not in captured.err
+        rows = oracles.read_convergence_csv(str(out / "convergence.csv")).rows
+        assert len(rows) == 1 and math.isnan(rows[0].mu)
+
+    def test_resolvent_failure_exit_code(self, tmp_path, capsys, monkeypatch):
+        # every magnitude goes to the real resolvent with an exponent whose
+        # roots underflow, so the splitting solve fails inside nu_update
+        real = plap.resolvent_many
+        monkeypatch.setattr(plap, "resolvent_many",
+                            lambda s, p: real(np.full_like(s, 0.5), 1.0000001))
+        out = tmp_path / "o"
+        code = main(["run", "--domain", "square", "--resolution", "4",
+                     "--p", "3", "--out", str(out)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "stop: error: resolvent iteration failed" in captured.out
+        assert "Traceback" not in captured.err
+        assert (out / "convergence.csv").exists()
 
     def test_run_and_mesh_and_estimate(self, tmp_path, capsys):
         out = tmp_path / "res"

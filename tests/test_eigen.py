@@ -3,7 +3,8 @@ import pytest
 
 from plapeig import eigen, fem
 from plapeig.fem import P1Function, SolverError
-from plapeig.mesh import generate_disk, generate_unit_square, refine_uniform
+from plapeig.mesh import (generate_disk, generate_unit_square,
+                          prolong_vertex_values, refine_uniform)
 
 import oracles
 
@@ -91,11 +92,42 @@ class TestIISS:
         res_c = eigen.iiss(coarse, 2.0)
         fine = refine_uniform(coarse)
         cold = eigen.iiss(fine, 2.0)
-        from plapeig.mesh import prolong_vertex_values
         u0 = P1Function(fine, prolong_vertex_values(fine, res_c.u_sup.coeffs))
         warm = eigen.iiss(fine, 2.0, u0=u0, lambda0=res_c.lambda_iiss)
         assert warm.mu_rayleigh == pytest.approx(cold.mu_rayleigh, rel=1e-6)
         assert warm.iiss_iterations <= cold.iiss_iterations
+
+    def test_fields_are_last_auxiliary_fields(self):
+        m = generate_unit_square(6)
+        res = eigen.iiss(m, 3.0)
+        xi, nu = res.fields
+        assert xi.shape == (m.num_triangles, 2)
+        assert nu.shape == (m.num_triangles, 2)
+
+    def test_coarse_fields_warm_start_the_refined_solve(self):
+        coarse = generate_unit_square(8)
+        res_c = eigen.iiss(coarse, 3.0)
+        fine = refine_uniform(coarse)
+        u0 = P1Function(fine, prolong_vertex_values(fine, res_c.u_sup.coeffs))
+        plain = eigen.iiss(fine, 3.0, u0=u0, lambda0=res_c.lambda_iiss)
+        carried = eigen.iiss(fine, 3.0, u0=u0, lambda0=res_c.lambda_iiss,
+                             fields0=tuple(f[fine.parent]
+                                           for f in res_c.fields))
+        assert carried.converged and plain.converged
+        assert carried.dc_iterations_total < plain.dc_iterations_total
+        assert carried.mu_rayleigh == pytest.approx(plain.mu_rayleigh,
+                                                    rel=1e-6)
+
+    def test_fields0_checked(self):
+        m = generate_unit_square(4)
+        u0 = P1Function(m, eigen.torsion(m, 3.0)[0].coeffs)
+        nt = m.num_triangles
+        bad = (np.zeros((nt - 1, 2)), np.zeros((nt - 1, 2)))
+        with pytest.raises(ValueError):
+            eigen.iiss(m, 3.0, u0=u0, fields0=bad)
+        good = (np.zeros((nt, 2)), np.zeros((nt, 2)))
+        with pytest.raises(ValueError, match="fields0 needs u0"):
+            eigen.iiss(m, 3.0, fields0=good)
 
     def test_dc_counters_accumulate(self):
         res = eigen.iiss(generate_unit_square(6), 2.0)

@@ -151,6 +151,22 @@ class TestVtk:
         vals = [float(s) for s in lines[at + 3:at + 7]]
         assert vals == [0.0, 0.25, 0.5, 1.0]
 
+    def test_text_matches_row_by_row_format(self, tmp_path, rng):
+        # the writer formats Python floats and ints; the same rows formatted
+        # from NumPy scalars, one by one, must give the same bytes
+        m = refine_uniform(generate_disk(2), 1)
+        u = P1Function(m, rng.standard_normal(m.num_vertices)
+                       * 10.0 ** rng.integers(-300, 300, m.num_vertices))
+        path = tmp_path / "u.vtk"
+        write_vtk(m, u, str(path))
+        lines = path.read_text().splitlines()
+        nv, nt = m.num_vertices, m.num_triangles
+        assert lines[5:5 + nv] == [f"{x:.17g} {y:.17g} 0"
+                                   for x, y in m.vertices]
+        assert lines[6 + nv:6 + nv + nt] == [f"3 {a} {b} {c}"
+                                             for a, b, c in m.triangles]
+        assert lines[-nv:] == [f"{v:.17g}" for v in u.coeffs]
+
     def test_field_size_checked(self, tmp_path):
         m = generate_unit_square(1)
         other = generate_unit_square(2)

@@ -237,3 +237,35 @@ class TestSizesAndProlongation:
         fine = prolong_vertex_values(r, values)
         expected = 2.0 * r.vertices[:, 0] - 0.7 * r.vertices[:, 1] + 0.3
         assert np.max(np.abs(fine - expected)) < 1e-14
+
+    @pytest.mark.parametrize("uniform_rounds", [1, 2])
+    def test_prolongation_across_refines(self, uniform_rounds):
+        # with two uniform rounds after the local one, midpoints of the
+        # first refinement become parents of later vertices
+        m = generate_unit_square(3)
+        values = 2.0 * m.vertices[:, 0] - 0.7 * m.vertices[:, 1] + 0.3
+        r = refine_uniform(refine(m, [1, 4, 9]), uniform_rounds)
+        fine = prolong_vertex_values(r, values)
+        expected = 2.0 * r.vertices[:, 0] - 0.7 * r.vertices[:, 1] + 0.3
+        assert np.max(np.abs(fine - expected)) < 1e-14
+        # the same values as averaging the parent edge vertex by vertex
+        loop = np.empty(r.num_vertices)
+        loop[:m.num_vertices] = values
+        for i in range(m.num_vertices, r.num_vertices):
+            a, b = r.vertex_parents[i]
+            loop[i] = 0.5 * (loop[a] + loop[b])
+        assert np.array_equal(fine, loop)
+
+    def test_prolongation_needs_parent_edges(self):
+        m = generate_unit_square(2)
+        grown = Mesh(vertices=np.vstack((m.vertices, [[0.5, 0.5]])),
+                     triangles=m.triangles)
+        with pytest.raises(ValueError, match="no recorded parent edge"):
+            prolong_vertex_values(grown, np.zeros(m.num_vertices))
+        # a parent edge ending at a younger vertex cannot be averaged
+        two = Mesh(vertices=np.vstack((m.vertices, [[0.5, 0.5], [0.25, 0.5]])),
+                   triangles=m.triangles,
+                   vertex_parents=np.vstack((m.vertex_parents,
+                                             [[0, 10], [0, 9]])))
+        with pytest.raises(ValueError, match="vertex 9 has a parent edge"):
+            prolong_vertex_values(two, np.zeros(m.num_vertices))

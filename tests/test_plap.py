@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from plapeig import fem, plap
-from plapeig.mesh import generate_disk, generate_unit_square
+from plapeig.fem import SolverError
+from plapeig.mesh import generate_disk, generate_unit_square, refine
 
 import oracles
 
@@ -40,6 +41,13 @@ class TestResolvent:
         assert r[0] == 0.0
         assert np.all(np.diff(r) >= 0.0)
         assert r[-1] < 1e-5
+
+    @pytest.mark.parametrize("s,p", [(1e-12, 1.01), (0.5, 1.0000001)])
+    def test_underflowing_root_is_solver_error(self, s, p):
+        # the root lies below the smallest double, so the residual contract
+        # cannot be met
+        with pytest.raises(SolverError, match="resolvent iteration failed"):
+            plap.resolvent_many(np.array([s]), p)
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
@@ -166,3 +174,17 @@ class TestDCSolve:
         for arr in (xi1, nu1):
             assert arr.shape == (m.num_triangles, 2)
             assert np.all((arr >= 0.0) & (arr < 0.5))
+
+
+class TestDCWorkspace:
+    @pytest.mark.parametrize("mesh", [
+        generate_unit_square(5),
+        refine(generate_disk(3), [0, 5, 17]),
+    ])
+    def test_l2_norm_matches_quadrature(self, mesh, rng):
+        ws = plap.DCWorkspace(mesh)
+        for coeffs in (rng.standard_normal(mesh.num_vertices),
+                       np.ones(mesh.num_vertices)):
+            ref = oracles.l2_norm_quadrature(mesh, coeffs)
+            assert ws.l2_norm(coeffs) == pytest.approx(ref, rel=1e-13)
+        assert ws.l2_norm(np.zeros(mesh.num_vertices)) == 0.0
