@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import sys
 
 import numpy as np
@@ -75,9 +76,6 @@ def build_parser() -> _Parser:
     run.add_argument("--out", required=True,
                      help="output directory (convergence.csv, mesh_<k>.vtk, "
                           "eigenfunction.vtk)")
-    run.add_argument("--cold-start", action="store_true",
-                     help="rerun the full eigensolve (torsion start "
-                          "included) on every level")
 
     meshcmd = sub.add_parser("mesh", help="generate and save a mesh")
     _add_domain_flags(meshcmd)
@@ -105,13 +103,14 @@ def parse_cli(argv: list[str]) -> argparse.Namespace:
     """Parse and validate; raises UsageError naming the offending flag."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    if hasattr(args, "p_exp") and args.p_exp <= 1:
-        raise UsageError("--p must exceed 1")
+    if hasattr(args, "p_exp") and not 1 < args.p_exp < math.inf:
+        raise UsageError("--p must be finite and exceed 1")
     if hasattr(args, "theta") and not 0.0 < args.theta <= 1.0:
         raise UsageError("--theta must lie in (0, 1]")
     for flag in ("eps_n", "eps_m", "eps_k"):
-        if getattr(args, flag, 1.0) <= 0:
-            raise UsageError(f"--{flag.replace('_', '-')} must be positive")
+        if not 0 < getattr(args, flag, 1.0) < math.inf:
+            raise UsageError(f"--{flag.replace('_', '-')} must be finite "
+                             f"and positive")
     for flag in ("max_dc", "max_iiss", "max_loops"):
         if getattr(args, flag, 1) < 1:
             raise UsageError(f"--{flag.replace('_', '-')} must be at least 1")
@@ -129,8 +128,7 @@ def _cmd_run(args) -> int:
         domain=args.domain, resolution=args.resolution, p=args.p_exp,
         theta=args.theta, eps_k=args.eps_k, eps_m=args.eps_m,
         eps_n=args.eps_n, max_loops=args.max_loops, max_iiss=args.max_iiss,
-        max_dc=args.max_dc, seed=args.seed, out_dir=args.out,
-        cold_start=args.cold_start)
+        max_dc=args.max_dc, seed=args.seed, out_dir=args.out)
     log = driver.run_afem(config)
     for r in log.rows:
         print(f"k={r.k} vertices={r.vertices} mu={r.mu:.8g} eta={r.eta:.4g} "
@@ -171,6 +169,9 @@ def _cmd_estimate(args) -> int:
     mesh = _mesh_from_args(args)
     res = eigen.iiss(mesh, args.p_exp, eps_m=args.eps_m, max_m=args.max_iiss,
                      eps_n=args.eps_n, seed=args.seed, max_dc=args.max_dc)
+    if not res.converged:
+        raise fem.SolverError(f"inverse iteration did not converge within "
+                              f"{args.max_iiss} sweeps")
     edges = edge_table(mesh)
     ind = estimator.estimate_all(mesh, edges, res.mu_rayleigh, res.u_lp,
                                  args.p_exp)

@@ -11,6 +11,7 @@ vertices to the circle, which trades nestedness for geometric fidelity.
 from __future__ import annotations
 
 import logging
+import math
 import os
 import time
 from dataclasses import dataclass, field, fields
@@ -34,10 +35,9 @@ class AfemConfig:
 
     domain is one of square | lshape | disk | file:<path>; resolution is the
     cells-per-unit-length of the structured generators (bisection rounds for
-    the disk) and is ignored for file meshes.  cold_start disables the
-    warm-started eigensolve on refined meshes and reruns the full iteration
-    on every level, including the torsion start from random auxiliary fields
-    drawn from seed + k.
+    the disk) and is ignored for file meshes.  seed draws the random
+    auxiliary fields of the level-0 torsion start; every later level starts
+    from the previous level's eigenfunction, eigenvalue and fields.
     """
 
     domain: str
@@ -52,19 +52,18 @@ class AfemConfig:
     max_dc: int = 500
     seed: int = DEFAULT_SEED
     out_dir: str | None = None
-    cold_start: bool = False
 
     def __post_init__(self):
         if not (self.domain in _DOMAINS or self.domain.startswith("file:")):
             raise ValueError(f"domain must be one of {_DOMAINS} or "
                              f"'file:<path>', got {self.domain!r}")
-        if self.p <= 1:
-            raise ValueError("p must exceed 1")
+        if not 1 < self.p < math.inf:
+            raise ValueError("p must be finite and exceed 1")
         if not 0.0 < self.theta <= 1.0:
             raise ValueError("theta must lie in (0, 1]")
         for name in ("eps_k", "eps_m", "eps_n"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive")
         if self.resolution < 0 or (self.domain in ("square", "lshape")
                                    and self.resolution < 1):
             raise ValueError("resolution must be positive (nonnegative for "
@@ -139,7 +138,7 @@ def run_afem(config: AfemConfig) -> ConvergenceLog:
             t0 = time.perf_counter()
             res = eigen.iiss(
                 mesh, config.p, eps_m=config.eps_m, max_m=config.max_iiss,
-                eps_n=config.eps_n, seed=config.seed + k, max_dc=config.max_dc,
+                eps_n=config.eps_n, seed=config.seed, max_dc=config.max_dc,
                 u0=u_warm, lambda0=lam_warm, fields0=fields_warm)
             if not res.converged:
                 raise fem.SolverError(f"inverse iteration did not converge "
@@ -176,12 +175,11 @@ def run_afem(config: AfemConfig) -> ConvergenceLog:
 
             mu_prev = res.mu_rayleigh
             fine = refine(mesh, marked)
-            if not config.cold_start:
-                u_warm = P1Function(fine, prolong_vertex_values(
-                    fine, res.u_sup.coeffs))
-                lam_warm = res.lambda_iiss
-                # piecewise constants transfer exactly to nested children
-                fields_warm = tuple(f[fine.parent] for f in res.fields)
+            u_warm = P1Function(fine, prolong_vertex_values(
+                fine, res.u_sup.coeffs))
+            lam_warm = res.lambda_iiss
+            # piecewise constants transfer exactly to nested children
+            fields_warm = tuple(f[fine.parent] for f in res.fields)
             mesh = fine
             k += 1
     except fem.SolverError as err:

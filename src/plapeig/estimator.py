@@ -22,22 +22,26 @@ from .mesh import EdgeTable, Mesh
 
 @dataclass(frozen=True)
 class IndicatorSet:
-    """Per-element error indicators (already raised to the q-th power).
-
-    total_eta is the q-root of the sum; argmax_element attains the largest
-    per-element value (smallest index on ties).
-    """
+    """Per-element error indicators (already raised to the q-th power) and
+    the conjugate exponent q."""
 
     eta_q: np.ndarray
-    total_eta: float
     q: float
-    mu: float
-    argmax_element: int
 
     def __post_init__(self):
         e = np.ascontiguousarray(self.eta_q, dtype=np.float64)
         e.setflags(write=False)
         object.__setattr__(self, "eta_q", e)
+
+    @property
+    def total_eta(self) -> float:
+        """The q-root of the summed indicators."""
+        return float(self.eta_q.sum() ** (1.0 / self.q))
+
+    @property
+    def argmax_element(self) -> int:
+        """Element with the largest indicator (smallest index on ties)."""
+        return int(np.argmax(self.eta_q))
 
 
 def _element_terms(mesh: Mesh, mu: float, u: P1Function,
@@ -72,14 +76,7 @@ def estimate_all(mesh: Mesh, edges: EdgeTable, mu: float, u: P1Function,
     jumps = _jump_terms(mesh, edges, u, p)
     np.add.at(eta, edges.int_tri_plus, jumps)
     np.add.at(eta, edges.int_tri_minus, jumps)
-    q = p / (p - 1.0)
-    return IndicatorSet(
-        eta_q=eta,
-        total_eta=float(eta.sum() ** (1.0 / q)),
-        q=q,
-        mu=float(mu),
-        argmax_element=int(np.argmax(eta)),
-    )
+    return IndicatorSet(eta_q=eta, q=p / (p - 1.0))
 
 
 def dorfler_mark(ind: IndicatorSet, theta: float) -> np.ndarray:

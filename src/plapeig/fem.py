@@ -40,7 +40,6 @@ class QuadRule:
 
     points: np.ndarray   # (nq, 3) barycentric
     weights: np.ndarray  # (nq,)
-    degree: int
 
     def __post_init__(self):
         pts = np.ascontiguousarray(self.points, dtype=np.float64)
@@ -50,25 +49,19 @@ class QuadRule:
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "weights", w)
 
-    @classmethod
-    def degree5(cls) -> "QuadRule":
-        """Symmetric 7-point rule, exact for polynomials of degree 5."""
-        s15 = np.sqrt(15.0)
-        a1, b1 = (9.0 + 2.0 * s15) / 21.0, (6.0 - s15) / 21.0
-        a2, b2 = (9.0 - 2.0 * s15) / 21.0, (6.0 + s15) / 21.0
-        w0 = 9.0 / 40.0
-        w1 = (155.0 - s15) / 1200.0
-        w2 = (155.0 + s15) / 1200.0
-        pts = np.array([
-            [1 / 3, 1 / 3, 1 / 3],
-            [a1, b1, b1], [b1, a1, b1], [b1, b1, a1],
-            [a2, b2, b2], [b2, a2, b2], [b2, b2, a2],
-        ])
-        w = np.array([w0, w1, w1, w1, w2, w2, w2])
-        return cls(points=pts, weights=w, degree=5)
 
-
-DEGREE5 = QuadRule.degree5()
+# Symmetric 7-point rule, exact for polynomials of degree 5.
+_S15 = np.sqrt(15.0)
+_A1, _B1 = (9.0 + 2.0 * _S15) / 21.0, (6.0 - _S15) / 21.0
+_A2, _B2 = (9.0 - 2.0 * _S15) / 21.0, (6.0 + _S15) / 21.0
+_W1, _W2 = (155.0 - _S15) / 1200.0, (155.0 + _S15) / 1200.0
+DEGREE5 = QuadRule(
+    points=np.array([
+        [1 / 3, 1 / 3, 1 / 3],
+        [_A1, _B1, _B1], [_B1, _A1, _B1], [_B1, _B1, _A1],
+        [_A2, _B2, _B2], [_B2, _A2, _B2], [_B2, _B2, _A2],
+    ]),
+    weights=np.array([9.0 / 40.0, _W1, _W1, _W1, _W2, _W2, _W2]))
 
 
 @dataclass(frozen=True)

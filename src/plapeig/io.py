@@ -10,6 +10,7 @@ doubles exactly.
 from __future__ import annotations
 
 import os
+from dataclasses import astuple
 from itertools import starmap
 
 import numpy as np
@@ -47,9 +48,9 @@ def load_mesh(path: str) -> Mesh:
     """Read a mesh written by save_mesh.
 
     Raises MeshFormatError with the offending line number on malformed
-    input, on a vertex that no triangle uses and on a b flag that disagrees
-    with the topology; MeshConformityError on a clockwise or degenerate
-    triangle or a non-conforming mesh."""
+    input, on a non-finite coordinate, on a vertex that no triangle uses
+    and on a b flag that disagrees with the topology; MeshConformityError
+    on a clockwise or degenerate triangle or a non-conforming mesh."""
     with open(path, "r", encoding="ascii") as fp:
         raw = fp.read().splitlines()
 
@@ -80,6 +81,8 @@ def load_mesh(path: str) -> Mesh:
             vertices[i] = (float(parts[0]), float(parts[1]))
         except ValueError:
             raise MeshFormatError("bad coordinate", lineno) from None
+        if not np.all(np.isfinite(vertices[i])):
+            raise MeshFormatError("coordinate must be finite", lineno)
         if parts[2] not in ("0", "1"):
             raise MeshFormatError("boundary flag must be 0 or 1", lineno)
         boundary[i] = parts[2] == "1"
@@ -146,12 +149,8 @@ def write_convergence_csv(log, path: str) -> None:
     the file reproduces them bit-exactly."""
     lines = [CSV_HEADER]
     for r in log.rows:
-        lines.append(",".join([
-            str(r.k), str(r.vertices), str(r.elements),
-            _fmt(r.mu), _fmt(r.lambda_iiss), _fmt(r.eta),
-            str(r.iiss_iters), str(r.dc_iters), str(r.marked),
-            _fmt(r.seconds),
-        ]))
+        lines.append(",".join(_fmt(x) if isinstance(x, float) else str(x)
+                              for x in astuple(r)))
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", encoding="ascii") as fp:
         fp.write("\n".join(lines) + "\n")

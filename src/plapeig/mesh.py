@@ -61,6 +61,8 @@ class Mesh:
               else np.ascontiguousarray(vp, dtype=np.int64))
         if p.shape != (len(t),):
             raise ValueError("parent length must match triangle count")
+        if vp.shape != (len(v), 2):
+            raise ValueError("vertex_parents must have shape (nv, 2)")
         if len(t) and (t.min() < 0 or t.max() >= len(v)):
             raise ValueError("triangle vertex index out of range")
         for arr, name in ((v, "vertices"), (t, "triangles"), (p, "parent"),
@@ -77,22 +79,19 @@ class Mesh:
         return len(self.triangles)
 
     @cached_property
-    def signed_areas(self) -> np.ndarray:
-        """Signed area per triangle (positive for counterclockwise)."""
+    def areas(self) -> np.ndarray:
+        """Area per triangle; raises MeshConformityError unless every
+        triangle is counterclockwise with positive area."""
         p0 = self.vertices[self.triangles[:, 0]]
         p1 = self.vertices[self.triangles[:, 1]]
         p2 = self.vertices[self.triangles[:, 2]]
         e1 = p1 - p0
         e2 = p2 - p0
         a = 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
+        if np.any(a <= 0.0):
+            raise MeshConformityError("triangle with non-positive signed area")
         a.setflags(write=False)
         return a
-
-    @cached_property
-    def areas(self) -> np.ndarray:
-        if np.any(self.signed_areas <= 0.0):
-            raise MeshConformityError("triangle with non-positive signed area")
-        return self.signed_areas
 
     @cached_property
     def basis_gradients(self) -> np.ndarray:
@@ -141,12 +140,11 @@ class Mesh:
 
 @dataclass(frozen=True)
 class EdgeTable:
-    """Edge topology of a conforming mesh.
+    """Interior edges of a conforming mesh.
 
     Interior edge i runs between int_vertices[i] = (a, b) as traversed by
     triangle int_tri_plus[i]; int_normals[i] is the unit normal pointing from
-    the plus triangle into int_tri_minus[i].  Boundary edges carry only their
-    owning triangle.
+    the plus triangle into int_tri_minus[i].
     """
 
     int_vertices: np.ndarray   # (ne_i, 2) int
@@ -154,15 +152,6 @@ class EdgeTable:
     int_tri_minus: np.ndarray  # (ne_i,) int
     int_normals: np.ndarray    # (ne_i, 2) float
     int_lengths: np.ndarray    # (ne_i,) float
-    bnd_tri: np.ndarray        # (ne_b,) int
-
-    @property
-    def num_interior(self) -> int:
-        return len(self.int_tri_plus)
-
-    @property
-    def num_boundary(self) -> int:
-        return len(self.bnd_tri)
 
 
 def _edge_arrays(triangles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -212,8 +201,7 @@ def edge_table(mesh: Mesh) -> EdgeTable:
 
     # Boundary must be a 1-manifold: exactly two boundary edges per boundary
     # vertex.  A hanging node leaves its host edge unmatched and shows up here.
-    bnd_ids = np.nonzero(counts == 1)[0]
-    bnd = codes[bnd_ids]
+    bnd = codes[counts == 1]
     bnd_valence = np.bincount(np.concatenate((bnd // nv, bnd % nv)),
                               minlength=nv)
     if np.any(bnd_valence[bnd_valence > 0] != 2):
@@ -226,7 +214,6 @@ def edge_table(mesh: Mesh) -> EdgeTable:
         int_tri_minus=t_minus,
         int_normals=normals,
         int_lengths=lengths,
-        bnd_tri=tri_of[first[bnd_ids]],
     )
 
 

@@ -162,8 +162,7 @@ def test_criterion_09_dorfler_suite():
         if rng.random() < 0.2:
             vals[rng.random(n) < 0.5] = 0.0
         q = float(rng.uniform(1.1, 4.0))
-        ind = IndicatorSet(eta_q=vals, total_eta=float(vals.sum() ** (1 / q)),
-                           q=q, mu=1.0, argmax_element=int(np.argmax(vals)))
+        ind = IndicatorSet(eta_q=vals, q=q)
         theta = float(rng.uniform(0.05, 1.0))
         marked = dorfler_mark(ind, theta)
         ok_max &= ind.argmax_element in marked
@@ -173,8 +172,7 @@ def test_criterion_09_dorfler_suite():
         n = int(rng.integers(2, 13))
         vals = rng.uniform(0.0, 3.0, size=n)
         q = 2.0
-        ind = IndicatorSet(eta_q=vals, total_eta=float(vals.sum() ** 0.5),
-                           q=q, mu=1.0, argmax_element=int(np.argmax(vals)))
+        ind = IndicatorSet(eta_q=vals, q=q)
         theta = float(rng.uniform(0.2, 0.95))
         marked = dorfler_mark(ind, theta)
         target = theta ** q * vals.sum()

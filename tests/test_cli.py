@@ -69,6 +69,18 @@ class TestParse:
         with pytest.raises(UsageError, match="domain"):
             parse_cli(["run", "--out", "o/"])
 
+    @pytest.mark.parametrize("flag", ["--p", "--theta", "--eps-k", "--eps-m",
+                                      "--eps-n"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_flag_is_usage_error(self, flag, value, tmp_path,
+                                            capsys):
+        out = tmp_path / "o"
+        assert main(["run", "--domain", "square", "--resolution", "3",
+                     flag, value, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"usage error: {flag} must" in err
+        assert not out.exists()
+
     def test_unknown_flag_named(self):
         with pytest.raises(UsageError, match="--frobnicate"):
             parse_cli(["run", "--domain", "square", "--out", "o/",
@@ -114,6 +126,16 @@ class TestMain:
         assert "Traceback" not in captured.err
         rows = oracles.read_convergence_csv(str(out / "convergence.csv")).rows
         assert len(rows) == 1 and math.isnan(rows[0].mu)
+
+    def test_unconverged_estimate_exit_code(self, capsys):
+        code = main(["estimate", "--domain", "square", "--resolution", "6",
+                     "--p", "3", "--max-iiss", "1"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "mu=" not in captured.out
+        assert ("solver failure: inverse iteration did not converge within 1 "
+                "sweeps") in captured.err
+        assert "Traceback" not in captured.err
 
     def test_resolvent_failure_exit_code(self, tmp_path, capsys, monkeypatch):
         # every magnitude goes to the real resolvent with an exponent whose

@@ -28,6 +28,12 @@ class TestConfig:
         dict(domain="square", max_loops=0),
         dict(domain="square", max_iiss=0),
         dict(domain="square", max_dc=0),
+        dict(domain="square", p=float("nan")),
+        dict(domain="square", p=float("inf")),
+        dict(domain="square", theta=float("nan")),
+        dict(domain="square", eps_k=float("nan")),
+        dict(domain="square", eps_m=float("inf")),
+        dict(domain="square", eps_n=float("nan")),
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
@@ -63,14 +69,6 @@ class TestRunAfem:
         log = run_afem(cfg)
         assert log.stop_reason == "eps_k"
         assert len(log.rows) == 2  # triggers at the first comparison
-
-    def test_cold_start_level0_identical(self):
-        warm = run_afem(AfemConfig(domain="square", resolution=5,
-                                   eps_k=1e-3, max_loops=2))
-        cold = run_afem(AfemConfig(domain="square", resolution=5,
-                                   eps_k=1e-3, max_loops=2, cold_start=True))
-        assert warm.rows[0].mu == cold.rows[0].mu
-        assert abs(warm.rows[-1].mu - cold.rows[-1].mu) / warm.rows[-1].mu < 1e-3
 
     def test_outputs_written(self, tmp_path):
         out = tmp_path / "results"

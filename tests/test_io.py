@@ -55,6 +55,9 @@ class TestMeshRoundTrip:
         ("4 1\n0 0 1\n9 9 0\n1 0 1\n0 1 1\n0 2 3\n", 3),
         # vertex 1 is a corner of the only triangle but flagged interior
         ("3 1\n0 0 1\n1 0 0\n0 1 1\n0 1 2\n", 3),
+        # non-finite coordinates
+        ("3 1\n0 0 1\nnan 0 1\n0 1 1\n0 1 2\n", 3),
+        ("3 1\n0 0 1\n1 0 1\n0 inf 1\n0 1 2\n", 4),
     ])
     def test_malformed_lines(self, tmp_path, content, line):
         path = tmp_path / "bad.txt"

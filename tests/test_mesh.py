@@ -10,7 +10,8 @@ import oracles
 
 def euler_characteristic(mesh):
     et = edge_table(mesh)
-    return mesh.num_vertices - (et.num_interior + et.num_boundary) \
+    num_boundary = np.count_nonzero(mesh.edge_numbering[2] == 1)
+    return mesh.num_vertices - (len(et.int_tri_plus) + num_boundary) \
         + mesh.num_triangles
 
 
@@ -22,7 +23,7 @@ class TestGenerators:
 
     def test_square_area_and_orientation(self):
         m = generate_unit_square(4)
-        assert np.all(m.signed_areas > 0)
+        assert np.all(m.areas > 0)
         assert m.areas.sum() == pytest.approx(1.0, abs=1e-14)
 
     @pytest.mark.parametrize("n,nv,nt", [(1, 8, 6), (2, 21, 24)])
@@ -154,7 +155,7 @@ class TestRefine:
         for _ in range(25):
             m = refine(m, [int(rng.integers(m.num_triangles))])
         edge_table(m)
-        assert np.all(m.signed_areas > 0)
+        assert np.all(m.areas > 0)
 
     def test_disk_refine_projects_new_boundary(self):
         m = generate_disk(2)
@@ -165,14 +166,15 @@ class TestRefine:
 
 class TestEdgeTable:
     def test_two_triangle_square(self):
-        et = edge_table(generate_unit_square(1))
-        assert et.num_interior == 1
-        assert et.num_boundary == 4
+        m = generate_unit_square(1)
+        et = edge_table(m)
+        assert len(et.int_tri_plus) == 1
+        assert np.count_nonzero(m.edge_numbering[2] == 1) == 4
 
     def test_square2_interior_count(self):
         # Euler: V=9, T=8 -> E=16, of which 8 on the boundary
         et = edge_table(generate_unit_square(2))
-        assert et.num_interior == 8
+        assert len(et.int_tri_plus) == 8
 
     def test_normals_unit_and_orthogonal(self):
         m = generate_disk(3)
@@ -269,3 +271,9 @@ class TestSizesAndProlongation:
                                              [[0, 10], [0, 9]])))
         with pytest.raises(ValueError, match="vertex 9 has a parent edge"):
             prolong_vertex_values(two, np.zeros(m.num_vertices))
+
+    def test_vertex_parents_shape_checked(self):
+        m = generate_unit_square(2)
+        for shape in ((3, 2), (m.num_vertices, 3), (m.num_vertices,)):
+            with pytest.raises(ValueError, match="vertex_parents"):
+                Mesh(m.vertices, m.triangles, vertex_parents=np.zeros(shape))

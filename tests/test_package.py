@@ -1,5 +1,6 @@
 import ast
 import importlib
+import importlib.util
 import re
 from pathlib import Path
 
@@ -39,3 +40,23 @@ def test_modules_import_only_lower_layers():
             for target in targets:
                 assert LAYERS.index(target) < rank, \
                     f"{name} imports {target}, which is not below it"
+
+
+def test_benchmark_hooks_resolve():
+    # The benchmark's tracer patches these names from outside the package;
+    # a rename here would otherwise only show when the benchmark runs.
+    path = Path(__file__).resolve().parents[1] / "plapbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("plapbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    targets = set()
+    for _, module, attr in spans.FUNCTIONS:
+        fn = getattr(importlib.import_module(module), attr)
+        assert callable(fn), f"{module}.{attr}"
+        targets.add(fn)
+    for _, module, cls_name, method in spans.METHODS:
+        cls = getattr(importlib.import_module(module), cls_name)
+        assert callable(cls.__dict__[method]), f"{cls_name}.{method}"
+    for module, attr in spans.IMPORTED_BINDINGS:
+        assert getattr(importlib.import_module(module), attr) in targets, \
+            f"{module}.{attr}"
