@@ -14,6 +14,7 @@ meshes.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -95,8 +96,8 @@ def iiss(mesh: Mesh, p: float, eps_m: float = 1e-5, max_m: int = 200,
     the previous solve's auxiliary fields.  All solves of a call, the
     torsion start included, share one DCWorkspace of the mesh.
     """
-    if eps_m <= 0:
-        raise ValueError("eps_m must be positive")
+    if not 0 < eps_m < math.inf:
+        raise ValueError("eps_m must be finite and positive")
     if max_m < 1:
         raise ValueError("max_m must be at least 1")
     if not np.any(~mesh.boundary_vertex):

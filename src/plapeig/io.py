@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import astuple
-from itertools import starmap
 
 import numpy as np
 
@@ -119,29 +118,27 @@ def load_mesh(path: str) -> Mesh:
 def write_vtk(mesh: Mesh, u: P1Function | None, path: str) -> None:
     """Write a legacy ASCII VTK unstructured grid, optionally with a vertex
     scalar field named u."""
-    lines = [
-        "# vtk DataFile Version 3.0",
-        "plapeig mesh",
-        "ASCII",
-        "DATASET UNSTRUCTURED_GRID",
-        f"POINTS {mesh.num_vertices} double",
+    nv, nt = mesh.num_vertices, mesh.num_triangles
+    # Each block is formatted by one % over Python floats and ints from
+    # tolist(): far faster than a format call per row, and %.17g gives the
+    # digits of {:.17g} for every double (-0, nan and inf included).
+    parts = [
+        "# vtk DataFile Version 3.0\nplapeig mesh\nASCII\n"
+        f"DATASET UNSTRUCTURED_GRID\nPOINTS {nv} double\n",
+        "%.17g %.17g 0\n" * nv % tuple(mesh.vertices.ravel().tolist()),
+        f"CELLS {nt} {4 * nt}\n",
+        "3 %d %d %d\n" * nt % tuple(mesh.triangles.ravel().tolist()),
+        f"CELL_TYPES {nt}\n",
+        "5\n" * nt,
     ]
-    # Python floats and ints from tolist() format much faster than NumPy
-    # scalars, with the same digits.
-    lines.extend(starmap("{:.17g} {:.17g} 0".format, mesh.vertices.tolist()))
-    lines.append(f"CELLS {mesh.num_triangles} {4 * mesh.num_triangles}")
-    lines.extend([f"3 {a} {b} {c}" for a, b, c in mesh.triangles.tolist()])
-    lines.append(f"CELL_TYPES {mesh.num_triangles}")
-    lines.extend(["5"] * mesh.num_triangles)
     if u is not None:
-        if len(u.coeffs) != mesh.num_vertices:
+        if len(u.coeffs) != nv:
             raise ValueError("field size does not match the mesh")
-        lines.append(f"POINT_DATA {mesh.num_vertices}")
-        lines.append("SCALARS u double 1")
-        lines.append("LOOKUP_TABLE default")
-        lines.extend(map(_fmt, u.coeffs.tolist()))
+        parts.append(f"POINT_DATA {nv}\nSCALARS u double 1\n"
+                     "LOOKUP_TABLE default\n")
+        parts.append("%.17g\n" * nv % tuple(u.coeffs.tolist()))
     with open(path, "w", encoding="ascii") as fp:
-        fp.write("\n".join(lines) + "\n")
+        fp.writelines(parts)
 
 
 def write_convergence_csv(log, path: str) -> None:

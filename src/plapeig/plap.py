@@ -11,6 +11,7 @@ P1 trial functions.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -172,8 +173,8 @@ def dc_solve(mesh: Mesh, f, p: float, eps_n: float = 1e-5, max_iter: int = 500,
     """
     if p <= 1:
         raise ValueError("p must exceed 1")
-    if eps_n <= 0:
-        raise ValueError("eps_n must be positive")
+    if not 0 < eps_n < math.inf:
+        raise ValueError("eps_n must be finite and positive")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     ws = workspace if workspace is not None else DCWorkspace(mesh)

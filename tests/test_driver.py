@@ -84,6 +84,21 @@ class TestRunAfem:
         assert [r.mu for r in back.rows] == [r.mu for r in log.rows]
         assert [r.vertices for r in back.rows] == [r.vertices for r in log.rows]
 
+    def test_eigenfunction_grid_matches_last_mesh(self, tmp_path):
+        out = tmp_path / "results"
+        cfg = AfemConfig(domain="lshape", resolution=2, eps_k=1e-12,
+                         max_loops=1, out_dir=str(out))
+        log = run_afem(cfg)
+        assert len(log.rows) == 2
+
+        def grid(path):
+            text = path.read_text()
+            return text[text.index("POINTS"):text.index("CELL_TYPES")]
+
+        last = grid(out / f"mesh_{len(log.rows) - 1}.vtk")
+        assert "CELLS" in last
+        assert grid(out / "eigenfunction.vtk") == last
+
     def test_disk_p15_reference_value(self):
         log = run_afem(AfemConfig(domain="disk", resolution=5, p=1.5,
                                   theta=0.6, eps_k=1e-5, max_loops=12,

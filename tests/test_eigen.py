@@ -146,8 +146,9 @@ class TestIISS:
 
     def test_rejects_bad_arguments(self):
         m = generate_unit_square(4)
-        with pytest.raises(ValueError):
-            eigen.iiss(m, 2.0, eps_m=0.0)
+        for eps_m in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="eps_m"):
+                eigen.iiss(m, 2.0, eps_m=eps_m)
         with pytest.raises(ValueError):
             eigen.iiss(m, 2.0, max_m=0)
         with pytest.raises(ValueError):

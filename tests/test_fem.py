@@ -3,7 +3,7 @@ import pytest
 
 from plapeig import fem, plap
 from plapeig.fem import DEGREE5, P1Function
-from plapeig.mesh import generate_unit_square
+from plapeig.mesh import generate_lshape, generate_unit_square, refine
 
 import oracles
 
@@ -126,6 +126,24 @@ class TestDirichletSolve:
         u = fac.solve(b)
         u_dense = oracles.solve_dirichlet_dense(K, b, m.boundary_vertex)
         assert np.max(np.abs(u - u_dense)) < 1e-12
+
+    def test_factorized_matches_dense_on_graded_mesh(self, rng):
+        # refinement appends the new vertices, so the interior block of an
+        # adaptively graded mesh is far from banded; the factorization must
+        # still agree with a dense solve
+        m = generate_lshape(4)
+        for _ in range(5):
+            corner = m.vertices[m.triangles].mean(axis=1) - 1.0
+            m = refine(m, np.nonzero(np.linalg.norm(corner, axis=1) < 0.3)[0])
+        assert m.num_vertices > 2 * generate_lshape(4).num_vertices
+        K = fem.assemble_stiffness(m)
+        fac = fem.DirichletFactor(K, m.boundary_vertex)
+        for b in (fem.assemble_rhs(m, 1.0),
+                  rng.standard_normal(m.num_vertices)):
+            u = fac.solve(b)
+            u_dense = oracles.solve_dirichlet_dense(K, b, m.boundary_vertex)
+            err = np.linalg.norm(u - u_dense) / np.linalg.norm(u_dense)
+            assert err < 1e-10
 
     def test_residual_contract(self):
         m = generate_unit_square(10)

@@ -155,20 +155,32 @@ class TestVtk:
         assert vals == [0.0, 0.25, 0.5, 1.0]
 
     def test_text_matches_row_by_row_format(self, tmp_path, rng):
-        # the writer formats Python floats and ints; the same rows formatted
-        # from NumPy scalars, one by one, must give the same bytes
+        # the writer formats whole blocks from Python floats and ints; the
+        # same rows formatted from NumPy scalars, one by one, must give the
+        # same bytes, special values included
         m = refine_uniform(generate_disk(2), 1)
-        u = P1Function(m, rng.standard_normal(m.num_vertices)
-                       * 10.0 ** rng.integers(-300, 300, m.num_vertices))
-        path = tmp_path / "u.vtk"
-        write_vtk(m, u, str(path))
-        lines = path.read_text().splitlines()
         nv, nt = m.num_vertices, m.num_triangles
-        assert lines[5:5 + nv] == [f"{x:.17g} {y:.17g} 0"
-                                   for x, y in m.vertices]
-        assert lines[6 + nv:6 + nv + nt] == [f"3 {a} {b} {c}"
-                                             for a, b, c in m.triangles]
-        assert lines[-nv:] == [f"{v:.17g}" for v in u.coeffs]
+        vals = (rng.standard_normal(nv)
+                * 10.0 ** rng.integers(-300, 300, nv))
+        vals[:5] = [-0.0, np.nan, np.inf, -np.inf, 5e-324]
+        u = P1Function(m, vals)
+        grid = (["# vtk DataFile Version 3.0", "plapeig mesh", "ASCII",
+                 "DATASET UNSTRUCTURED_GRID", f"POINTS {nv} double"]
+                + [f"{x:.17g} {y:.17g} 0" for x, y in m.vertices]
+                + [f"CELLS {nt} {4 * nt}"]
+                + [f"3 {a} {b} {c}" for a, b, c in m.triangles]
+                + [f"CELL_TYPES {nt}"] + ["5"] * nt)
+        field = ([f"POINT_DATA {nv}", "SCALARS u double 1",
+                  "LOOKUP_TABLE default"]
+                 + [f"{v:.17g}" for v in u.coeffs])
+        assert field[3:8] == ["-0", "nan", "inf", "-inf",
+                              "4.9406564584124654e-324"]
+        path = tmp_path / "u.vtk"
+        for f, tail in ((u, field), (None, [])):
+            write_vtk(m, f, str(path))
+            text = path.read_text()
+            assert text.endswith("\n") and not text.endswith("\n\n")
+            assert text == "\n".join(grid + tail) + "\n"
 
     def test_field_size_checked(self, tmp_path):
         m = generate_unit_square(1)

@@ -151,8 +151,9 @@ class TestDCSolve:
         m = generate_unit_square(3)
         with pytest.raises(ValueError):
             plap.dc_solve(m, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            plap.dc_solve(m, 1.0, 2.0, eps_n=0.0)
+        for eps_n in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="eps_n"):
+                plap.dc_solve(m, 1.0, 2.0, eps_n=eps_n)
         with pytest.raises(ValueError, match="max_iter must be at least 1"):
             plap.dc_solve(m, 1.0, 2.0, max_iter=0)
         with pytest.raises(ValueError):
