@@ -84,9 +84,17 @@ def dorfler_mark(ind: IndicatorSet, theta: float) -> np.ndarray:
     eta_q reaches theta^q times the total (equivalently, whose estimator
     reaches theta times the total estimator).
 
-    Ties are broken by ascending element index.  The element with the
-    largest indicator is always included; if all indicators vanish, it is
-    returned alone so refinement still makes progress.
+    Ties are broken by ascending element index, and an indicator within
+    1e-12 relative of the prefix's last value counts as tied with it: every
+    element above that tied group is marked, and the places left go to the
+    group's elements in ascending index.  Mirror-image elements of a
+    symmetric mesh carry indicators that agree up to round-off, so a
+    last-bit change upstream does not decide which of them is marked.  The
+    set has the size of the prefix; its sum may fall short of the prefix
+    sum by at most 2e-12 relative, the slack of the bulk criterion.  The
+    element with the largest indicator, or one tied with it, is always
+    included; if all indicators vanish, argmax_element is returned alone so
+    refinement still makes progress.
     """
     if not 0.0 < theta <= 1.0:
         raise ValueError("theta must lie in (0, 1]")
@@ -99,4 +107,8 @@ def dorfler_mark(ind: IndicatorSet, theta: float) -> np.ndarray:
     target = theta ** ind.q * total
     k = int(np.searchsorted(csum, target, side="left"))
     k = min(k, len(eta) - 1)
-    return np.sort(order[:k + 1])
+    cut = eta[order[k]]
+    slack = 1e-12 * cut
+    above = np.flatnonzero(eta > cut + slack)
+    tied = np.flatnonzero(np.abs(eta - cut) <= slack)
+    return np.sort(np.concatenate((above, tied[:k + 1 - len(above)])))

@@ -7,6 +7,11 @@ integral uses the degree-5 symmetric rule DEGREE5: everything polynomial of
 degree at most 5 is integrated exactly, and integrands like |u|^p with
 fractional p approximately.
 
+The stiffness and mass matrices are assembled in edge form: the element
+matrices' diagonal entries are summed per vertex and their off-diagonal
+entries per edge of `Mesh.edge_numbering`, with no sort of the 9 nt
+element entries.
+
 Piecewise-constant vector fields (gradients, fluxes, the splitting solver's
 auxiliary fields) are plain (nt, 2) arrays, one 2-vector per triangle.
 """
@@ -91,28 +96,47 @@ def assemble_stiffness(mesh: Mesh) -> sp.csr_matrix:
     Symmetric with zero row sums (constants lie in the kernel); positive
     definite once boundary rows/columns are eliminated.
     """
-    areas = mesh.areas  # raises on degenerate triangles
+    areas = mesh.areas[:, None]  # raises on degenerate triangles
     g = mesh.basis_gradients
-    return _scatter(mesh, np.einsum("tid,tjd->tij", g, g)
-                    * areas[:, None, None])
+    gx, gy = g[:, :, 0], g[:, :, 1]
+    # The edge opposite local vertex j joins local vertices j+1 and j+2.
+    nxt, prv = [1, 2, 0], [2, 0, 1]
+    return _edge_form(mesh, areas * (gx * gx + gy * gy),
+                      areas * (gx[:, nxt] * gx[:, prv]
+                               + gy[:, nxt] * gy[:, prv]))
 
 
 def assemble_mass(mesh: Mesh) -> sp.csr_matrix:
     """Mass matrix M_ij = sum_T int_T phi_i phi_j, elementwise
     |T|/12 (1 + delta_ij); c^T M c is the squared L2 norm of the P1
     function with coefficients c."""
-    local = mesh.areas[:, None, None] / 12.0 * (1.0 + np.eye(3))
-    return _scatter(mesh, local)
+    local = np.repeat(mesh.areas / 12.0, 3).reshape(-1, 3)
+    return _edge_form(mesh, 2.0 * local, local)
 
 
-def _scatter(mesh: Mesh, local: np.ndarray) -> sp.csr_matrix:
-    """Global (nv, nv) matrix summing the (nt, 3, 3) element matrices."""
-    tri = mesh.triangles
-    rows = np.repeat(tri, 3, axis=1).ravel()
-    cols = np.tile(tri, (1, 3)).ravel()
+def _edge_form(mesh: Mesh, diag: np.ndarray, off: np.ndarray) -> sp.csr_matrix:
+    """Symmetric (nv, nv) matrix summing element matrices given by their
+    diagonal, diag[t, i] at vertex triangles[t, i], and their off-diagonal
+    entries, off[t, j] on the edge opposite local vertex j (both (nt, 3)).
+
+    The pattern is the diagonal plus both entries of every edge of
+    `mesh.edge_numbering`, nv + 2 ne stored entries; entries that sum to
+    zero stay stored.  The edge codes ascend, so listing the lower entries,
+    the diagonal and the upper entries in that order already puts the
+    columns of every row in ascending order, and the conversion to CSR
+    sorts and sums nothing.
+    """
     nv = mesh.num_vertices
-    return sp.coo_matrix((local.ravel(), (rows, cols)),
-                         shape=(nv, nv)).tocsr()
+    codes, edge_id, _, _ = mesh.edge_numbering
+    d = np.bincount(mesh.triangles.ravel(), weights=diag.ravel(),
+                    minlength=nv)
+    e = np.bincount(edge_id.ravel(), weights=off.ravel(),
+                    minlength=len(codes))
+    lo, hi = np.divmod(codes, nv)
+    r = np.arange(nv)
+    return sp.csr_matrix((np.concatenate((e, d, e)),
+                          (np.concatenate((hi, r, lo)),
+                           np.concatenate((lo, r, hi)))), shape=(nv, nv))
 
 
 def assemble_rhs(mesh: Mesh, f) -> np.ndarray:
@@ -151,14 +175,16 @@ class DirichletFactor:
     and pivots taken from the diagonal, which keeps the fill of L + U well
     below that of the default column ordering.
 
-    Relaxed supernodes are off (relax=1).  Refinement appends vertex
-    numbers, and on such graded meshes SuperLU's default relaxation slows
-    the factorization without saving fill: on the 62,033-unknown final
-    level of the L-shape run at p = 2 (seed 7, one core of a 2-core host)
-    it took 0.64 s against 0.33 s with relax=1, for the same 3,116,334
-    nonzeros in L + U, and 1.45 s against 0.86 s over all 14 levels;
-    relax=2 and relax=4 took 18 s and 4.8 s.  On uniform meshes the setting
-    is neutral.
+    Relaxed supernodes are off (relax=1) and panels are one column wide
+    (panel_size=1): refinement appends vertex numbers, and on such graded
+    meshes SuperLU's defaults slow the factorization without saving fill.
+    Over the 14 levels of the L-shape run at p = 2 (seed 7, one core of a
+    2-core host; 62,033 unknowns and 3,116,334 nonzeros in L + U on the
+    last), the factorizations took 1.45 s with the defaults, 0.84-0.94 s
+    with relax=1 and 0.63-0.75 s with panel_size=1 as well, for the same
+    fill.  relax=2 and relax=4 were far slower (18 s and 4.8 s on the last
+    level alone), and panels of 3 or 5 columns no faster than one.  On
+    uniform meshes the settings are neutral.
 
     Every solve guarantees a relative residual of at most SOLVE_RTOL on the
     interior block or raises SolverError carrying the achieved residual.
@@ -172,7 +198,7 @@ class DirichletFactor:
         self._A = K.tocsr()[self.idx][:, self.idx]
         self.n = K.shape[0]
         self._lu = (spla.splu(self._A.tocsc(), permc_spec="MMD_AT_PLUS_A",
-                              diag_pivot_thresh=0.0, relax=1,
+                              diag_pivot_thresh=0.0, relax=1, panel_size=1,
                               options=dict(SymmetricMode=True))
                     if len(self.idx) else None)
 

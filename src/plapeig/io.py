@@ -115,25 +115,56 @@ def load_mesh(path: str) -> Mesh:
     return mesh
 
 
+# The POINTS and CELLS text of the last write_vtk call with the arrays it
+# was formatted from: (vertices, points text, triangles, cells text).  One
+# tuple, replaced whole, so that a reader always sees a consistent set.
+_last_blocks: tuple[np.ndarray, str, np.ndarray, str] | None = None
+
+
 def write_vtk(mesh: Mesh, u: P1Function | None, path: str) -> None:
     """Write a legacy ASCII VTK unstructured grid, optionally with a vertex
-    scalar field named u."""
+    scalar field named u.
+
+    The text of the last POINTS and CELLS blocks is kept from one call to
+    the next.  refine appends vertices, so the POINTS block of a refined
+    mesh starts with that of its parent: when the vertices extend the last
+    ones, only the new rows are formatted, and when the triangles equal the
+    last ones (the eigenfunction written on the final mesh), the CELLS text
+    is reused.  The output is the same as formatting every row afresh.
+    """
+    global _last_blocks
     nv, nt = mesh.num_vertices, mesh.num_triangles
+    if u is not None and len(u.coeffs) != nv:
+        raise ValueError("field size does not match the mesh")
+    vertices, triangles = mesh.vertices, mesh.triangles
     # Each block is formatted by one % over Python floats and ints from
     # tolist(): far faster than a format call per row, and %.17g gives the
     # digits of {:.17g} for every double (-0, nan and inf included).
+    done, points, cells = 0, "", None
+    if _last_blocks is not None:
+        old_vertices, old_points, old_triangles, old_cells = _last_blocks
+        n = len(old_vertices)
+        # Compare bit patterns: -0.0 == 0.0, but they print differently.
+        if n <= nv and np.array_equal(vertices[:n].view(np.int64),
+                                      old_vertices.view(np.int64)):
+            done, points = n, old_points
+        if np.array_equal(triangles, old_triangles):
+            cells = old_cells
+    points += ("%.17g %.17g 0\n" * (nv - done)
+               % tuple(vertices[done:].ravel().tolist()))
+    if cells is None:
+        cells = "3 %d %d %d\n" * nt % tuple(triangles.ravel().tolist())
+    _last_blocks = (vertices, points, triangles, cells)
     parts = [
         "# vtk DataFile Version 3.0\nplapeig mesh\nASCII\n"
         f"DATASET UNSTRUCTURED_GRID\nPOINTS {nv} double\n",
-        "%.17g %.17g 0\n" * nv % tuple(mesh.vertices.ravel().tolist()),
+        points,
         f"CELLS {nt} {4 * nt}\n",
-        "3 %d %d %d\n" * nt % tuple(mesh.triangles.ravel().tolist()),
+        cells,
         f"CELL_TYPES {nt}\n",
         "5\n" * nt,
     ]
     if u is not None:
-        if len(u.coeffs) != nv:
-            raise ValueError("field size does not match the mesh")
         parts.append(f"POINT_DATA {nv}\nSCALARS u double 1\n"
                      "LOOKUP_TABLE default\n")
         parts.append("%.17g\n" * nv % tuple(u.coeffs.tolist()))

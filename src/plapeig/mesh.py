@@ -109,27 +109,40 @@ class Mesh:
         return g
 
     @cached_property
-    def edge_numbering(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Global edge numbers: (codes (ne,), edge_id (nt, 3), counts (ne,)).
+    def edge_numbering(self) -> tuple[np.ndarray, np.ndarray, np.ndarray,
+                                      np.ndarray]:
+        """Global edge numbers: (codes (ne,), edge_id (nt, 3), counts (ne,),
+        order (3 nt,)).
 
         Edge e joins vertices codes[e] // nv and codes[e] % nv (smaller index
-        first); edge_id[t, j] numbers the edge of triangle t opposite its
-        local vertex j; counts[e] is how many triangles hold edge e (1 on the
-        boundary).  edge_table, refine and boundary_vertex all read this.
+        first), and codes ascend; edge_id[t, j] numbers the edge of triangle
+        t opposite its local vertex j; counts[e] is how many triangles hold
+        edge e (1 on the boundary); order lists the occurrences 3 t + j
+        grouped by edge, in ascending edge and then triangle order.
+        edge_table, refine, boundary_vertex and the matrix assembly of fem
+        all read this.
         """
+        nv = self.num_vertices
         a, b = _edge_arrays(self.triangles)
-        flat = np.minimum(a, b) * self.num_vertices + np.maximum(a, b)
-        codes, edge_id, counts = np.unique(flat.ravel(), return_inverse=True,
-                                           return_counts=True)
+        flat = (np.minimum(a, b) * nv + np.maximum(a, b)).ravel()
+        # One stable sort yields the codes and the grouped occurrences.
+        order, ordered = _stable_sort(flat, nv * nv)
+        new = np.empty(len(ordered), dtype=bool)
+        new[:1] = True
+        np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+        codes = ordered[new]
+        counts = np.diff(np.flatnonzero(new), append=len(ordered))
+        edge_id = np.empty(len(ordered), dtype=np.int64)
+        edge_id[order] = np.cumsum(new) - 1
         edge_id = edge_id.reshape(a.shape)
-        for arr in (codes, edge_id, counts):
+        for arr in (codes, edge_id, counts, order):
             arr.setflags(write=False)
-        return codes, edge_id, counts
+        return codes, edge_id, counts, order
 
     @cached_property
     def boundary_vertex(self) -> np.ndarray:
         """(nv,) bool: the vertex lies on an edge that only one triangle has."""
-        codes, _, counts = self.edge_numbering
+        codes, _, counts, _ = self.edge_numbering
         bnd = codes[counts == 1]
         flags = np.zeros(self.num_vertices, dtype=bool)
         flags[bnd // self.num_vertices] = True
@@ -161,6 +174,19 @@ def _edge_arrays(triangles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
+def _stable_sort(x: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
+    """(order, x[order]) with order the stable ascending argsort of the
+    nonnegative integers x, all below bound."""
+    n = len(x)
+    if bound * n <= np.iinfo(np.int64).max:
+        # x * n + index is distinct for every entry, so sorting these keys
+        # is stable, and a plain sort of values beats a stable argsort.
+        ordered, order = np.divmod(np.sort(x * n + np.arange(n)), n)
+        return order, ordered
+    order = np.argsort(x, kind="stable")
+    return order, x[order]
+
+
 def edge_table(mesh: Mesh) -> EdgeTable:
     """Build the edge table from `mesh.edge_numbering`, validating conformity.
 
@@ -171,12 +197,10 @@ def edge_table(mesh: Mesh) -> EdgeTable:
     """
     nv = mesh.num_vertices
     a, b = _edge_arrays(mesh.triangles)
-    codes, edge_id, counts = mesh.edge_numbering
+    codes, _, counts, order = mesh.edge_numbering
     if np.any(counts > 2):
         raise MeshConformityError("an edge is shared by more than two triangles")
 
-    # Occurrences of each edge in (triangle, local-edge) order.
-    order = np.argsort(edge_id.ravel(), kind="stable")
     tri_of = order // 3
     loc_of = order % 3
     first = np.concatenate(([0], np.cumsum(counts)[:-1]))
@@ -303,7 +327,7 @@ def refine(mesh: Mesh, marked) -> Mesh:
     if marked.min() < 0 or marked.max() >= nt:
         raise ValueError(f"marked triangle index out of range [0, {nt})")
 
-    codes, edge_id, counts = mesh.edge_numbering
+    codes, edge_id, counts, _ = mesh.edge_numbering
     n_edges = len(codes)
 
     # Closure fixpoint over split edges: refinement edge is local edge 0.

@@ -128,15 +128,14 @@ class DCWorkspace:
         self.factor = DirichletFactor(self.stiffness, mesh.boundary_vertex)
         self.mass = fem.assemble_mass(mesh)
         nt = mesh.num_triangles
-        # (nt, 3, 2)
+        # Column 2 t + d holds |T| times component d of grad(phi_i) in the
+        # rows of the three vertices i of T.
         data = mesh.areas[:, None, None] * mesh.basis_gradients
-        rows = np.broadcast_to(mesh.triangles[:, :, None], (nt, 3, 2))
-        cols = np.broadcast_to(
-            (2 * np.arange(nt))[:, None, None] + np.arange(2)[None, None, :],
-            (nt, 3, 2))
-        self._div = sp.coo_matrix(
-            (data.ravel(), (rows.ravel(), cols.ravel())),
-            shape=(mesh.num_vertices, 2 * nt)).tocsr()
+        self._div = sp.csc_matrix(
+            (data.transpose(0, 2, 1).ravel(),
+             np.repeat(mesh.triangles, 2, axis=0).ravel(),
+             np.arange(0, 6 * nt + 1, 3)),
+            shape=(mesh.num_vertices, 2 * nt))
 
     def g_load(self, g: np.ndarray) -> np.ndarray:
         """Load vector of the field term: -sum_T |T| g_T . grad(phi_i)."""

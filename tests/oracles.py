@@ -11,6 +11,7 @@ from dataclasses import fields
 from math import factorial
 
 import numpy as np
+import scipy.sparse as sp
 
 from plapeig.driver import ConvergenceLog, LogRow
 from plapeig.io import CSV_HEADER
@@ -188,3 +189,77 @@ def read_convergence_csv(path: str) -> ConvergenceLog:
         out.rows.append(LogRow(**{n: t(s) for n, t, s
                                   in zip(names, types, parts)}))
     return out
+
+
+def scatter_assembly(mesh, local):
+    """Global (nv, nv) CSR matrix summing the (nt, 3, 3) element matrices,
+    by a COO scatter of all 9 nt entries and the duplicate-summing
+    conversion to CSR."""
+    tri = mesh.triangles
+    rows = np.repeat(tri, 3, axis=1).ravel()
+    cols = np.tile(tri, (1, 3)).ravel()
+    nv = mesh.num_vertices
+    return sp.coo_matrix((np.asarray(local).ravel(), (rows, cols)),
+                         shape=(nv, nv)).tocsr()
+
+
+def stiffness_local(mesh):
+    """(nt, 3, 3) element stiffness matrices |T| grad(phi_i) . grad(phi_j),
+    from the edge vectors: grad(phi_i) is the edge opposite vertex i turned
+    by 90 degrees and divided by 2 |T|."""
+    pts = mesh.vertices[mesh.triangles]
+    edges = np.stack([pts[:, (i + 2) % 3] - pts[:, (i + 1) % 3]
+                      for i in range(3)], axis=1)  # (nt, 3, 2)
+    area = 0.5 * (edges[:, 2, 0] * edges[:, 0, 1]
+                  - edges[:, 2, 1] * edges[:, 0, 0])
+    dots = np.einsum("tid,tjd->tij", edges, edges)
+    return dots / (4.0 * area)[:, None, None]
+
+
+def mass_local(mesh):
+    """(nt, 3, 3) element mass matrices |T|/12 (1 + delta_ij)."""
+    return mesh.areas[:, None, None] / 12.0 * (1.0 + np.eye(3))
+
+
+def field_load_loop(mesh, g):
+    """-sum_T |T| g_T . grad(phi_i), one triangle at a time."""
+    out = np.zeros(mesh.num_vertices)
+    for t, (i0, i1, i2) in enumerate(mesh.triangles):
+        p = mesh.vertices[[i0, i1, i2]]
+        area = 0.5 * ((p[1, 0] - p[0, 0]) * (p[2, 1] - p[0, 1])
+                      - (p[2, 0] - p[0, 0]) * (p[1, 1] - p[0, 1]))
+        for k, i in enumerate((i0, i1, i2)):
+            e = p[(k + 2) % 3] - p[(k + 1) % 3]
+            grad_phi = np.array([-e[1], e[0]]) / (2.0 * area)
+            out[i] -= area * (g[t, 0] * grad_phi[0] + g[t, 1] * grad_phi[1])
+    return out
+
+
+def edge_numbering_unique(mesh):
+    """(codes, edge_id, counts) of the edges by np.unique over the vertex
+    pairs, smaller index first, of the edge opposite each local vertex."""
+    tri = mesh.triangles
+    a, b = tri[:, [1, 2, 0]], tri[:, [2, 0, 1]]
+    flat = np.minimum(a, b) * mesh.num_vertices + np.maximum(a, b)
+    codes, inverse, counts = np.unique(flat.ravel(), return_inverse=True,
+                                       return_counts=True)
+    return codes, inverse.reshape(tri.shape), counts
+
+
+def interior_edges_two_sorts(mesh):
+    """(int_vertices, int_tri_plus, int_tri_minus, int_normals,
+    int_lengths) of the interior edges: a second stable sort of the edge
+    numbers of np.unique groups the occurrences of each edge in triangle
+    order, and the first occurrence is the plus side."""
+    _, edge_id, counts = edge_numbering_unique(mesh)
+    tri = mesh.triangles
+    a, b = tri[:, [1, 2, 0]], tri[:, [2, 0, 1]]
+    order = np.argsort(edge_id.ravel(), kind="stable")
+    first = np.concatenate(([0], np.cumsum(counts)[:-1]))[counts == 2]
+    t_plus, j_plus = np.divmod(order[first], 3)
+    t_minus = order[first + 1] // 3
+    va, vb = a[t_plus, j_plus], b[t_plus, j_plus]
+    evec = mesh.vertices[vb] - mesh.vertices[va]
+    lengths = np.sqrt((evec * evec).sum(axis=1))
+    normals = np.column_stack((evec[:, 1], -evec[:, 0])) / lengths[:, None]
+    return np.column_stack((va, vb)), t_plus, t_minus, normals, lengths

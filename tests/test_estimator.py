@@ -182,6 +182,18 @@ class TestDorflerMark:
         marked = dorfler_mark(ind, np.sqrt(0.45))  # target 3.6 of total 8
         assert marked.tolist() == [0, 1]
 
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_round_off_twins_mark_lower_index(self, swap):
+        # two indicators one ulp apart straddle the cut: the lower index is
+        # marked whichever of the two carries the larger value
+        lo, hi = 1.0, np.nextafter(1.0, 2.0)
+        vals = [4.0, lo, 0.5, hi, 0.25]
+        if swap:
+            vals[1], vals[3] = hi, lo
+        ind = make_indicator(vals)
+        marked = dorfler_mark(ind, np.sqrt(4.5 / sum(vals)))
+        assert marked.tolist() == [0, 1]
+
     def test_greedy_minimality_bruteforce(self, rng):
         for _ in range(40):
             vals = rng.uniform(0.0, 3.0, size=rng.integers(2, 10))

@@ -3,7 +3,8 @@ import pytest
 
 from plapeig import fem, plap
 from plapeig.fem import DEGREE5, P1Function
-from plapeig.mesh import generate_lshape, generate_unit_square, refine
+from plapeig.mesh import generate_disk, generate_lshape, generate_unit_square, \
+    refine
 
 import oracles
 
@@ -65,6 +66,39 @@ class TestStiffness:
         idx = np.nonzero(~m.boundary_vertex)[0]
         A = K.toarray()[np.ix_(idx, idx)]
         assert np.linalg.eigvalsh(A).min() > 0
+
+
+def corner_graded_lshape():
+    """generate_lshape(4) after 5 rounds of refinement at the re-entrant
+    corner: the appended vertex numbers leave the matrices far from banded."""
+    m = generate_lshape(4)
+    for _ in range(5):
+        corner = m.vertices[m.triangles].mean(axis=1) - 1.0
+        m = refine(m, np.nonzero(np.linalg.norm(corner, axis=1) < 0.3)[0])
+    return m
+
+
+class TestEdgeFormAssembly:
+    @pytest.mark.parametrize("make", [corner_graded_lshape,
+                                      lambda: generate_disk(2)],
+                             ids=["graded_lshape", "disk"])
+    @pytest.mark.parametrize("assemble,local", [
+        (fem.assemble_stiffness, oracles.stiffness_local),
+        (fem.assemble_mass, oracles.mass_local)], ids=["stiffness", "mass"])
+    def test_matches_scatter_oracle(self, make, assemble, local):
+        m = make()
+        A = assemble(m)
+        ref = oracles.scatter_assembly(m, local(m))
+        ne = len(m.edge_numbering[0])
+        assert A.nnz == ref.nnz == m.num_vertices + 2 * ne
+        assert A.has_canonical_format
+        assert np.array_equal(A.indptr, ref.indptr)
+        assert np.array_equal(A.indices, ref.indices)
+        # entrywise, relative to sqrt(A_ii A_jj), which bounds |A_ij|
+        rows = np.repeat(np.arange(m.num_vertices), np.diff(ref.indptr))
+        d = ref.diagonal()
+        scale = np.sqrt(d[rows] * d[ref.indices])
+        assert np.all(np.abs(A.data - ref.data) <= 1e-14 * scale)
 
 
 class TestRhs:
@@ -131,10 +165,7 @@ class TestDirichletSolve:
         # refinement appends the new vertices, so the interior block of an
         # adaptively graded mesh is far from banded; the factorization must
         # still agree with a dense solve
-        m = generate_lshape(4)
-        for _ in range(5):
-            corner = m.vertices[m.triangles].mean(axis=1) - 1.0
-            m = refine(m, np.nonzero(np.linalg.norm(corner, axis=1) < 0.3)[0])
+        m = corner_graded_lshape()
         assert m.num_vertices > 2 * generate_lshape(4).num_vertices
         K = fem.assemble_stiffness(m)
         fac = fem.DirichletFactor(K, m.boundary_vertex)

@@ -5,8 +5,8 @@ from plapeig import io
 from plapeig.driver import ConvergenceLog, LogRow
 from plapeig.fem import P1Function
 from plapeig.io import MeshFormatError, load_mesh, save_mesh, write_vtk
-from plapeig.mesh import edge_table, generate_disk, generate_unit_square, \
-    refine_uniform
+from plapeig.mesh import Mesh, edge_table, generate_disk, \
+    generate_unit_square, refine, refine_uniform
 
 import oracles
 
@@ -112,6 +112,23 @@ def parse_legacy_vtk(text: str):
     return np.array(points), np.array(cells), field
 
 
+def row_by_row_vtk(mesh, u):
+    """The legacy VTK text of write_vtk, formatted one row at a time from
+    NumPy scalars."""
+    nv, nt = mesh.num_vertices, mesh.num_triangles
+    lines = (["# vtk DataFile Version 3.0", "plapeig mesh", "ASCII",
+              "DATASET UNSTRUCTURED_GRID", f"POINTS {nv} double"]
+             + [f"{x:.17g} {y:.17g} 0" for x, y in mesh.vertices]
+             + [f"CELLS {nt} {4 * nt}"]
+             + [f"3 {a} {b} {c}" for a, b, c in mesh.triangles]
+             + [f"CELL_TYPES {nt}"] + ["5"] * nt)
+    if u is not None:
+        lines += ([f"POINT_DATA {nv}", "SCALARS u double 1",
+                   "LOOKUP_TABLE default"]
+                  + [f"{v:.17g}" for v in u.coeffs])
+    return "\n".join(lines) + "\n"
+
+
 class TestVtk:
     def test_full_round_trip_through_independent_parser(self, tmp_path):
         m = refine_uniform(generate_disk(2), 1)
@@ -159,28 +176,38 @@ class TestVtk:
         # same rows formatted from NumPy scalars, one by one, must give the
         # same bytes, special values included
         m = refine_uniform(generate_disk(2), 1)
-        nv, nt = m.num_vertices, m.num_triangles
+        nv = m.num_vertices
         vals = (rng.standard_normal(nv)
                 * 10.0 ** rng.integers(-300, 300, nv))
         vals[:5] = [-0.0, np.nan, np.inf, -np.inf, 5e-324]
         u = P1Function(m, vals)
-        grid = (["# vtk DataFile Version 3.0", "plapeig mesh", "ASCII",
-                 "DATASET UNSTRUCTURED_GRID", f"POINTS {nv} double"]
-                + [f"{x:.17g} {y:.17g} 0" for x, y in m.vertices]
-                + [f"CELLS {nt} {4 * nt}"]
-                + [f"3 {a} {b} {c}" for a, b, c in m.triangles]
-                + [f"CELL_TYPES {nt}"] + ["5"] * nt)
-        field = ([f"POINT_DATA {nv}", "SCALARS u double 1",
-                  "LOOKUP_TABLE default"]
-                 + [f"{v:.17g}" for v in u.coeffs])
-        assert field[3:8] == ["-0", "nan", "inf", "-inf",
-                              "4.9406564584124654e-324"]
+        assert row_by_row_vtk(m, u).splitlines()[-nv:][:5] == [
+            "-0", "nan", "inf", "-inf", "4.9406564584124654e-324"]
         path = tmp_path / "u.vtk"
-        for f, tail in ((u, field), (None, [])):
+        for f in (u, None):
             write_vtk(m, f, str(path))
             text = path.read_text()
             assert text.endswith("\n") and not text.endswith("\n\n")
-            assert text == "\n".join(grid + tail) + "\n"
+            assert text == row_by_row_vtk(m, f)
+
+    def test_reused_blocks_match_fresh_text(self, tmp_path):
+        # the writer keeps the text of the last POINTS and CELLS blocks; a
+        # refinement extends the vertices, the eigenfunction repeats the
+        # mesh, and a mesh with as many vertices but other coordinates (or
+        # only -0.0 in place of 0.0) or a coarser mesh must not reuse it
+        coarse = generate_disk(2)
+        fine = refine(coarse, [0, 3, 11])
+        u = P1Function(fine, np.linspace(-1.0, 1.0, fine.num_vertices))
+        other = Mesh(0.5 * fine.vertices, fine.triangles[:, [1, 2, 0]])
+        signed_zeros = Mesh(np.where(fine.vertices == 0.0, -0.0,
+                                     fine.vertices), fine.triangles)
+        for i, (mesh, f) in enumerate([(coarse, None), (fine, None),
+                                       (fine, u), (other, None),
+                                       (signed_zeros, None), (fine, None),
+                                       (coarse, None)]):
+            path = tmp_path / f"m{i}.vtk"
+            write_vtk(mesh, f, str(path))
+            assert path.read_text() == row_by_row_vtk(mesh, f)
 
     def test_field_size_checked(self, tmp_path):
         m = generate_unit_square(1)

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from plapeig.mesh import (Mesh, MeshConformityError, edge_table, generate_disk,
-                          generate_lshape, generate_unit_square,
+from plapeig.mesh import (Mesh, MeshConformityError, _stable_sort, edge_table,
+                          generate_disk, generate_lshape, generate_unit_square,
                           prolong_vertex_values, refine, refine_uniform)
 
 import oracles
@@ -204,6 +204,35 @@ class TestEdgeTable:
         mesh = Mesh(vertices=vertices, triangles=triangles)
         with pytest.raises(MeshConformityError):
             edge_table(mesh)
+
+    @pytest.mark.parametrize("mesh", [
+        refine(refine_uniform(generate_unit_square(3), 1), [0, 7, 20]),
+        refine(refine(generate_lshape(2), [3, 11]), [0, 2, 20]),
+        refine(generate_disk(2), [1, 4, 9, 20]),
+    ])
+    def test_one_sort_matches_unique_and_two_sorts(self, mesh):
+        codes, edge_id, counts, order = mesh.edge_numbering
+        ref = oracles.edge_numbering_unique(mesh)
+        for got, want in zip((codes, edge_id, counts), ref):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+        assert np.array_equal(order, np.argsort(edge_id.ravel(),
+                                                kind="stable"))
+        et = edge_table(mesh)
+        got = (et.int_vertices, et.int_tri_plus, et.int_tri_minus,
+               et.int_normals, et.int_lengths)
+        for g, want in zip(got, oracles.interior_edges_two_sorts(mesh)):
+            assert np.array_equal(g, want)
+
+    def test_stable_sort_either_way(self, rng):
+        # sorting x * n + index and the stable argsort (taken when those
+        # keys could overflow int64) give the same grouping
+        x = rng.integers(0, 50, size=300)
+        want = np.argsort(x, kind="stable")
+        for bound in (50, 2 ** 62):
+            order, ordered = _stable_sort(x, bound)
+            assert np.array_equal(order, want)
+            assert np.array_equal(ordered, x[want])
 
     def test_overshared_edge_detected(self):
         vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, -1.0],

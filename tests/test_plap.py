@@ -189,3 +189,14 @@ class TestDCWorkspace:
             ref = oracles.l2_norm_quadrature(mesh, coeffs)
             assert ws.l2_norm(coeffs) == pytest.approx(ref, rel=1e-13)
         assert ws.l2_norm(np.zeros(mesh.num_vertices)) == 0.0
+
+    @pytest.mark.parametrize("mesh", [
+        generate_unit_square(3),
+        refine(generate_disk(2), [0, 5, 17]),
+    ])
+    def test_g_load_matches_triangle_loop(self, mesh, rng):
+        ws = plap.DCWorkspace(mesh)
+        g = rng.standard_normal((mesh.num_triangles, 2))
+        ref = oracles.field_load_loop(mesh, g)
+        assert np.max(np.abs(ws.g_load(g) - ref)) <= \
+            1e-13 * np.max(np.abs(ref))
