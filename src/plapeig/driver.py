@@ -71,6 +71,8 @@ class AfemConfig:
         for name in ("max_loops", "max_iiss", "max_dc"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
 
 
 @dataclass
@@ -123,8 +125,6 @@ def run_afem(config: AfemConfig) -> ConvergenceLog:
     and the run finishes with eigenfunction.vtk and convergence.csv in that
     directory (also on solver failure, with the partial log)."""
     mesh = initial_mesh(config)
-    if config.out_dir is not None:
-        os.makedirs(config.out_dir, exist_ok=True)
     result = ConvergenceLog()
     u_warm: P1Function | None = None
     lam_warm: float | None = None
@@ -167,6 +167,9 @@ def run_afem(config: AfemConfig) -> ConvergenceLog:
             log.info("loop %d: vertices=%d mu=%.8g eta=%.4g marked=%d",
                      k, row.vertices, row.mu, row.eta, row.marked)
             if config.out_dir is not None:
+                # created at the first write, so that a mesh the solver
+                # rejects leaves no directory behind
+                os.makedirs(config.out_dir, exist_ok=True)
                 io.write_vtk(mesh, None,
                              f"{config.out_dir}/mesh_{k}.vtk")
             if stop:

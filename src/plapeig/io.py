@@ -53,12 +53,9 @@ def load_mesh(path: str) -> Mesh:
     with open(path, "r", encoding="ascii") as fp:
         raw = fp.read().splitlines()
 
-    def need(lineno: int) -> str:
-        if lineno > len(raw):
-            raise MeshFormatError("unexpected end of file", lineno)
-        return raw[lineno - 1]
-
-    head = need(1).split()
+    if not raw:
+        raise MeshFormatError("unexpected end of file", 1)
+    head = raw[0].split()
     if len(head) != 2:
         raise MeshFormatError("expected header 'nv nt'", 1)
     try:
@@ -68,12 +65,14 @@ def load_mesh(path: str) -> Mesh:
     if nv < 3 or nt < 1:
         raise MeshFormatError("mesh must have at least 3 vertices and 1 "
                               "triangle", 1)
+    if len(raw) < 1 + nv + nt:  # before allocating for the header's counts
+        raise MeshFormatError("unexpected end of file", len(raw) + 1)
 
     vertices = np.empty((nv, 2))
     boundary = np.empty(nv, dtype=bool)
     for i in range(nv):
         lineno = 2 + i
-        parts = need(lineno).split()
+        parts = raw[lineno - 1].split()
         if len(parts) != 3:
             raise MeshFormatError("expected 'x y b'", lineno)
         try:
@@ -89,7 +88,7 @@ def load_mesh(path: str) -> Mesh:
     triangles = np.empty((nt, 3), dtype=np.int64)
     for i in range(nt):
         lineno = 2 + nv + i
-        parts = need(lineno).split()
+        parts = raw[lineno - 1].split()
         if len(parts) != 3:
             raise MeshFormatError("expected 'i0 i1 i2'", lineno)
         try:

@@ -398,37 +398,25 @@ def refine(mesh: Mesh, marked) -> Mesh:
 
 def refine_uniform(mesh: Mesh, rounds: int = 1) -> Mesh:
     """Refine with all triangles marked, `rounds` times."""
+    if rounds < 0:
+        raise ValueError(f"rounds must be nonnegative, got {rounds}")
     for _ in range(rounds):
         mesh = refine(mesh, np.arange(mesh.num_triangles))
     return mesh
 
 
 def prolong_vertex_values(fine: Mesh, coarse_values: np.ndarray) -> np.ndarray:
-    """Transfer piecewise-linear vertex values from a mesh to one of its
-    refinements (the fine mesh must descend from the coarse one, so that its
-    leading vertices coincide with the coarse vertices)."""
-    coarse_values = np.asarray(coarse_values, dtype=np.float64)
-    nv_c = len(coarse_values)
-    if nv_c > fine.num_vertices:
+    """Transfer piecewise-linear vertex values from a mesh to its refinement
+    by one `refine`: the leading vertices of the fine mesh are the coarse
+    ones, and every later vertex is the midpoint of a coarse edge."""
+    c = np.asarray(coarse_values, dtype=np.float64)
+    if len(c) > fine.num_vertices:
         raise ValueError("fine mesh has fewer vertices than the source values")
-    nv = fine.num_vertices
-    out = np.empty(nv)
-    out[:nv_c] = coarse_values
-    parents = fine.vertex_parents
-    orphans = np.nonzero(parents[nv_c:, 0] < 0)[0]
-    if orphans.size:
-        raise ValueError(f"vertex {nv_c + orphans[0]} has no recorded "
-                         f"parent edge")
-    # One step per block of vertices whose parents all precede the block;
-    # one refine adds a single such block.
-    i = nv_c
-    while i < nv:
-        late = np.nonzero(parents[i:].max(axis=1) >= i)[0]
-        j = i + late[0] if late.size else nv
-        if j == i:
-            raise ValueError(f"vertex {i} has a parent edge that is not "
-                             f"older than itself")
-        a, b = parents[i:j].T
-        out[i:j] = 0.5 * (out[a] + out[b])
-        i = j
-    return out
+    parents = fine.vertex_parents[len(c):]
+    bad = np.nonzero((parents.min(axis=1) < 0)
+                     | (parents.max(axis=1) >= len(c)))[0]
+    if bad.size:
+        raise ValueError(f"vertex {len(c) + bad[0]} is not the midpoint of "
+                         f"an edge between coarse vertices")
+    a, b = parents.T
+    return np.concatenate((c, 0.5 * (c[a] + c[b])))

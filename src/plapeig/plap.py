@@ -116,7 +116,7 @@ class DCReport:
 class DCWorkspace:
     """Per-mesh cache for repeated p-Laplacian solves.
 
-    Holds the stiffness matrix, its factorized interior block, the mass
+    Holds the factorized interior block of the stiffness matrix, the mass
     matrix behind the L2 norm of the stopping test, and the scatter operator
     mapping a piecewise-constant vector field g to the load contribution
     -sum_T |T| g . grad(phi_i).
@@ -124,8 +124,8 @@ class DCWorkspace:
 
     def __init__(self, mesh: Mesh):
         self.mesh = mesh
-        self.stiffness = fem.assemble_stiffness(mesh)
-        self.factor = DirichletFactor(self.stiffness, mesh.boundary_vertex)
+        stiffness = fem.assemble_stiffness(mesh)
+        self.factor = DirichletFactor(stiffness, mesh.boundary_vertex)
         self.mass = fem.assemble_mass(mesh)
         nt = mesh.num_triangles
         # Column 2 t + d holds |T| times component d of grad(phi_i) in the

@@ -10,6 +10,7 @@ import pytest
 import plapeig
 from plapeig import io, plap
 from plapeig.cli import UsageError, main, parse_cli
+from plapeig.driver import AfemConfig
 from plapeig.mesh import Mesh, generate_unit_square
 
 import oracles
@@ -27,6 +28,9 @@ def write_bad_mesh_file(kind: str, path: Path) -> None:
         m = Mesh(vertices=[[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0],
                            [0.5, 0.5]],
                  triangles=[[1, 2, 0], [4, 3, 0], [2, 3, 4]])
+    elif kind == "no_interior":
+        m = Mesh(vertices=[[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
+                 triangles=[[0, 1, 2]])
     io.save_mesh(m, str(path))
     lines = path.read_text().splitlines()
     nv, nt = (int(s) for s in lines[0].split())
@@ -45,15 +49,19 @@ class TestParse:
                        "--max-loops", "10", "--seed", "42",
                        "--out", "results/"])
         assert a.subcommand == "run"
-        assert a.domain == "square" and a.p_exp == 2.0
+        assert a.domain == "square" and a.config.p == 2.0
         assert a.theta == 0.6 and a.eps_k == 1e-4
-        assert a.max_loops == 10 and a.seed == 42 and a.out == "results/"
+        assert a.max_loops == 10 and a.seed == 42 and a.out_dir == "results/"
+
+    def test_defaults_come_from_afem_config(self):
+        a = parse_cli(["run", "--domain", "square", "--out", "o"])
+        assert a.config == AfemConfig(domain="square", out_dir="o")
 
     def test_large_p_is_valid(self):
         a = parse_cli(["run", "--domain", "disk", "--p", "30",
                        "--theta", "0.6", "--max-loops", "9",
                        "--out", "o/"])
-        assert a.p_exp == 30.0
+        assert a.config.p == 30.0
 
     def test_p_below_one_rejected(self):
         with pytest.raises(UsageError, match="--p"):
@@ -81,6 +89,35 @@ class TestParse:
         assert f"usage error: {flag} must" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--seed", "-1"), ("--max-dc", "0"), ("--max-iiss", "0"),
+        ("--max-loops", "0"), ("--resolution", "0")])
+    def test_bad_run_setting_is_usage_error(self, flag, value, tmp_path,
+                                            capsys):
+        out = tmp_path / "o"
+        assert main(["run", "--domain", "square", "--resolution", "3",
+                     flag, value, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"usage error: {flag} must" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv,flag", [
+        (["estimate", "--domain", "square", "--theta", "0"], "--theta"),
+        (["solve-plap", "--domain", "square", "--seed", "-1", "--out"],
+         "--seed"),
+        (["mesh", "--domain", "square", "--resolution", "0", "--out"],
+         "--resolution"),
+    ], ids=["estimate", "solve-plap", "mesh"])
+    def test_every_subcommand_checks_settings(self, argv, flag, tmp_path,
+                                              capsys):
+        out = tmp_path / "out"
+        if argv[-1] == "--out":
+            argv = argv + [str(out)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert f"usage error: {flag} must" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_unknown_flag_named(self):
         with pytest.raises(UsageError, match="--frobnicate"):
             parse_cli(["run", "--domain", "square", "--out", "o/",
@@ -98,13 +135,22 @@ class TestMain:
                      "--out", str(tmp_path / "o")]) == 1
 
     @pytest.mark.parametrize("kind", ["clockwise", "wrong_flag",
-                                      "orphan_vertex", "hanging_node"])
+                                      "orphan_vertex", "hanging_node",
+                                      "no_interior"])
     def test_bad_mesh_file_is_usage_error(self, kind, tmp_path, capsys):
         path = tmp_path / "bad.txt"
         write_bad_mesh_file(kind, path)
         out = tmp_path / "o"
         assert main(["run", "--domain", f"file:{path}",
                      "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "usage error:" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_negative_uniform_refine_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "m.txt"
+        assert main(["mesh", "--domain", "square", "--resolution", "2",
+                     "--uniform-refine", "-3", "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert "usage error:" in err and "Traceback" not in err
         assert not out.exists()

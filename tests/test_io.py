@@ -58,6 +58,8 @@ class TestMeshRoundTrip:
         # non-finite coordinates
         ("3 1\n0 0 1\nnan 0 1\n0 1 1\n0 1 2\n", 3),
         ("3 1\n0 0 1\n1 0 1\n0 inf 1\n0 1 2\n", 4),
+        # a header that promises more lines than the file has
+        ("1000000000000000 1\n0 0 1\n", 3),
     ])
     def test_malformed_lines(self, tmp_path, content, line):
         path = tmp_path / "bad.txt"

@@ -149,6 +149,10 @@ class TestRefine:
         with pytest.raises(ValueError):
             refine(m, [-1])
 
+    def test_refine_uniform_rejects_negative_rounds(self):
+        with pytest.raises(ValueError, match="rounds must be nonnegative"):
+            refine_uniform(generate_unit_square(2), -3)
+
     def test_closure_no_hanging_nodes(self):
         m = generate_lshape(1)
         rng = np.random.default_rng(11)
@@ -271,12 +275,15 @@ class TestSizesAndProlongation:
 
     @pytest.mark.parametrize("uniform_rounds", [1, 2])
     def test_prolongation_across_refines(self, uniform_rounds):
-        # with two uniform rounds after the local one, midpoints of the
-        # first refinement become parents of later vertices
+        # one refine at a time through the intermediate meshes; with two
+        # uniform rounds, midpoints of one step are parents in the next
         m = generate_unit_square(3)
         values = 2.0 * m.vertices[:, 0] - 0.7 * m.vertices[:, 1] + 0.3
-        r = refine_uniform(refine(m, [1, 4, 9]), uniform_rounds)
+        r = refine(m, [1, 4, 9])
         fine = prolong_vertex_values(r, values)
+        for _ in range(uniform_rounds):
+            r = refine_uniform(r)
+            fine = prolong_vertex_values(r, fine)
         expected = 2.0 * r.vertices[:, 0] - 0.7 * r.vertices[:, 1] + 0.3
         assert np.max(np.abs(fine - expected)) < 1e-14
         # the same values as averaging the parent edge vertex by vertex
@@ -291,14 +298,15 @@ class TestSizesAndProlongation:
         m = generate_unit_square(2)
         grown = Mesh(vertices=np.vstack((m.vertices, [[0.5, 0.5]])),
                      triangles=m.triangles)
-        with pytest.raises(ValueError, match="no recorded parent edge"):
+        with pytest.raises(ValueError, match="vertex 9 is not the midpoint "
+                                             "of an edge between coarse"):
             prolong_vertex_values(grown, np.zeros(m.num_vertices))
-        # a parent edge ending at a younger vertex cannot be averaged
+        # a parent edge ending at a new vertex spans more than one refine
         two = Mesh(vertices=np.vstack((m.vertices, [[0.5, 0.5], [0.25, 0.5]])),
                    triangles=m.triangles,
                    vertex_parents=np.vstack((m.vertex_parents,
-                                             [[0, 10], [0, 9]])))
-        with pytest.raises(ValueError, match="vertex 9 has a parent edge"):
+                                             [[0, 4], [0, 9]])))
+        with pytest.raises(ValueError, match="vertex 10 is not the midpoint"):
             prolong_vertex_values(two, np.zeros(m.num_vertices))
 
     def test_vertex_parents_shape_checked(self):
