@@ -100,9 +100,6 @@ def iiss(mesh: Mesh, p: float, eps_m: float = 1e-5, max_m: int = 200,
         raise ValueError("eps_m must be finite and positive")
     if max_m < 1:
         raise ValueError("max_m must be at least 1")
-    if not np.any(~mesh.boundary_vertex):
-        raise ValueError("mesh has no interior vertices; the trial space is "
-                         "trivial")
     if fields0 is not None and u0 is None:
         raise ValueError("fields0 needs u0: the torsion start draws its own "
                          "fields")

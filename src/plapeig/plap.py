@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -36,17 +36,46 @@ def resolvent_many(s: np.ndarray, p: float) -> np.ndarray:
     raises SolverError (e.g. for p close to 1, where the root of a tiny s
     underflows).
 
-    Safeguarded Newton with a bisection fallback.  The root is bracketed in
-    [0, min(s, s^{1/(p-1)})] (both bounds dominate it; the min avoids
-    overflow for p close to 1).  For p < 2 the derivative blows up at 0, so
-    iterations start at s/2 and the bracket keeps Newton away from the
-    singularity.
+    Three exponents have an exact root: r = s/2 at p = 2, the root t of the
+    quadratic t^2 + t = s at p = 3, and t^2 at p = 3/2 (substitute
+    t = sqrt(r)).  Every other p runs _resolvent_newton.
     """
     if p <= 1:
         raise ValueError("p must exceed 1")
     s = np.asarray(s, dtype=np.float64)
     if np.any(s < 0) or not np.all(np.isfinite(s)):
         raise ValueError("s must be finite and nonnegative")
+    if p == 2.0:
+        return 0.5 * s
+    if p == 3.0:
+        return _quadratic_root(s)
+    if p == 1.5:
+        t = _quadratic_root(s)
+        return t * t
+    return _resolvent_newton(s, p)
+
+
+def _quadratic_root(s: np.ndarray) -> np.ndarray:
+    """Nonnegative root t of t^2 + t = s, entrywise.
+
+    s / (1/2 + sqrt(s + 1/4)) has no cancellation and no intermediate
+    overflow.  Near the top of the range it can round one unit above
+    sqrt(s), which bounds the root; clipping there keeps t^2 finite.
+    """
+    t = s / (0.5 + np.sqrt(s + 0.25))
+    return np.minimum(t, np.sqrt(s), out=t)
+
+
+def _resolvent_newton(s: np.ndarray, p: float) -> np.ndarray:
+    """Roots of r^{p-1} + r = s for finite s >= 0, under the residual
+    contract of resolvent_many.
+
+    Safeguarded Newton with a bisection fallback.  The root is bracketed in
+    [0, min(s, s^{1/(p-1)})] (both bounds dominate it; the min avoids
+    overflow for p close to 1).  For p < 2 the derivative blows up at 0, so
+    iterations start at s/2 and the bracket keeps Newton away from the
+    singularity.
+    """
     r = np.zeros_like(s)
     active = s > 0.0
     if not active.any():
@@ -99,9 +128,10 @@ class DCReport:
     """Diagnostics of a decomposition-coordination run.
 
     consistency is the elementwise L^q mismatch between the coordination
-    field xi and the flux |grad u|^{p-2} grad u; at the fixed point it
-    vanishes.  xi and nu are the final auxiliary fields, reusable as a warm
-    start for a follow-up solve on the same mesh.
+    field xi and the flux |grad u|^{p-2} grad u of the final iterate,
+    computed once after the last sweep; at the fixed point it vanishes.
+    xi and nu are the final auxiliary fields, reusable as a warm start for
+    a follow-up solve on the same mesh.
     """
 
     iterations: int
@@ -110,7 +140,6 @@ class DCReport:
     converged: bool
     xi: np.ndarray
     nu: np.ndarray
-    consistency_history: list = field(default_factory=list)
 
 
 class DCWorkspace:
@@ -119,10 +148,14 @@ class DCWorkspace:
     Holds the factorized interior block of the stiffness matrix, the mass
     matrix behind the L2 norm of the stopping test, and the scatter operator
     mapping a piecewise-constant vector field g to the load contribution
-    -sum_T |T| g . grad(phi_i).
+    -sum_T |T| g . grad(phi_i).  Every solve path builds one, so it is where
+    a mesh without interior vertices (a trivial trial space) is rejected.
     """
 
     def __init__(self, mesh: Mesh):
+        if mesh.boundary_vertex.all():
+            raise ValueError("mesh has no interior vertices; the trial space "
+                             "is trivial")
         self.mesh = mesh
         stiffness = fem.assemble_stiffness(mesh)
         self.factor = DirichletFactor(stiffness, mesh.boundary_vertex)
@@ -165,7 +198,9 @@ def dc_solve(mesh: Mesh, f, p: float, eps_n: float = 1e-5, max_iter: int = 500,
     Iterates until the relative L2 change of the solution drops below eps_n
     (checked from the second sweep on; the change is taken as absolute if the
     previous iterate vanishes).  Hitting max_iter returns a report with
-    converged=False rather than raising; the caller decides.
+    converged=False rather than raising; the caller decides.  The report's
+    consistency residual belongs to the final iterate and is computed once,
+    after the last sweep.
 
     init supplies the starting fields (xi, nu); by default they are drawn
     from the seeded generator of random_fields.
@@ -178,7 +213,6 @@ def dc_solve(mesh: Mesh, f, p: float, eps_n: float = 1e-5, max_iter: int = 500,
         raise ValueError("max_iter must be at least 1")
     ws = workspace if workspace is not None else DCWorkspace(mesh)
     nt = mesh.num_triangles
-    q = p / (p - 1.0)
 
     if init is None:
         xi, nu = random_fields(mesh, seed)
@@ -193,7 +227,6 @@ def dc_solve(mesh: Mesh, f, p: float, eps_n: float = 1e-5, max_iter: int = 500,
     n = 0
     rel_change = np.inf
     converged = False
-    history: list[float] = []
     while n < max_iter:
         prev_coeffs = u.coeffs
         n += 1
@@ -203,11 +236,6 @@ def dc_solve(mesh: Mesh, f, p: float, eps_n: float = 1e-5, max_iter: int = 500,
         w = xi + gu
         nu = nu_update(w, p)
         xi = w - nu
-
-        sigma = fem.p_flux(gu, p)
-        mismatch = np.linalg.norm(xi - sigma, axis=1)
-        history.append(float(np.dot(mesh.areas, mismatch ** q) ** (1.0 / q)))
-
         if n >= 2:
             diff = ws.l2_norm(u.coeffs - prev_coeffs)
             base = ws.l2_norm(prev_coeffs)
@@ -219,11 +247,11 @@ def dc_solve(mesh: Mesh, f, p: float, eps_n: float = 1e-5, max_iter: int = 500,
     if not converged:
         log.warning("dc_solve hit max_iter=%d at relative change %.3e",
                     max_iter, rel_change)
-    if len(history) >= 3 and not (history[-1] <= history[-2] <= history[-3]):
-        log.debug("consistency residual not decreasing over final sweeps: %s",
-                  history[-3:])
 
+    q = p / (p - 1.0)
+    mismatch = np.linalg.norm(xi - fem.p_flux(gu, p), axis=1)
+    consistency = float(np.dot(mesh.areas, mismatch ** q) ** (1.0 / q))
     report = DCReport(iterations=n, rel_change=float(rel_change),
-                      consistency=history[-1], converged=converged,
-                      xi=xi, nu=nu, consistency_history=history)
+                      consistency=consistency, converged=converged,
+                      xi=xi, nu=nu)
     return u, report

@@ -147,6 +147,19 @@ class TestMain:
         assert "usage error:" in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("subcommand", ["solve-plap", "estimate", "run"])
+    def test_no_interior_mesh_is_usage_error(self, subcommand, tmp_path,
+                                             capsys):
+        out = tmp_path / "o"
+        argv = [subcommand, "--domain", "square", "--resolution", "1"]
+        if subcommand != "estimate":
+            argv += ["--out", str(out)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "usage error: mesh has no interior vertices" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_negative_uniform_refine_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "m.txt"
         assert main(["mesh", "--domain", "square", "--resolution", "2",

@@ -27,6 +27,40 @@ class TestResolvent:
             res = np.abs(r ** (p - 1.0) + r - s)
             assert np.all(res <= 1e-13 * np.maximum(1.0, s))
 
+    @staticmethod
+    def wide_s(rng):
+        """Extremes of s from zero to the largest double, and a seeded
+        batch spread over 40 decades."""
+        extremes = [0.0, 5e-324, 1e-300, 1e-12, 1.0, 1e6, 1e12, 1e300,
+                    np.finfo(float).max]
+        return np.concatenate((extremes,
+                               10.0 ** rng.uniform(-20.0, 20.0, size=400)))
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_closed_forms_meet_contract(self, p, rng):
+        s = self.wide_s(rng)
+        r = plap.resolvent_many(s, p)
+        assert np.all(np.isfinite(r))
+        res = np.abs(r ** (p - 1.0) + r - s)
+        assert np.all(res <= 1e-13 * np.maximum(1.0, s))
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_closed_forms_match_newton(self, p, rng):
+        s = self.wide_s(rng)
+        if p == 1.5:
+            # Newton's bisection midpoint (lo + hi) / 2 overflows at the
+            # largest double; there the contract test alone checks the root
+            s = s[s < np.finfo(float).max]
+        r = plap.resolvent_many(s, p)
+        with np.errstate(over="ignore"):  # the bracket's s^{1/(p-1)} -> inf
+            ref = plap._resolvent_newton(s, p)
+        assert np.all(np.abs(r - ref) <= 1e-13 * np.maximum(1.0, s))
+
+    def test_p2_is_bit_identical_to_newton(self, rng):
+        s = self.wide_s(rng)
+        assert np.array_equal(plap.resolvent_many(s, 2.0),
+                              plap._resolvent_newton(s, 2.0))
+
     @pytest.mark.parametrize("p", [1.1, 2.0, 7.0, 35.0])
     def test_strictly_increasing_in_s(self, p, rng):
         s = np.sort(rng.uniform(0.0, 1e5, size=300))
@@ -131,7 +165,9 @@ class TestDCSolve:
     def test_consistency_residual_decreases(self):
         d = generate_disk(6)
         _, rep = plap.dc_solve(d, 1.0, 1.5, eps_n=1e-7)
-        tail = rep.consistency_history[-3:]
+        n = rep.iterations
+        tail = [plap.dc_solve(d, 1.0, 1.5, eps_n=1e-7, max_iter=k)[1]
+                .consistency for k in (n - 2, n - 1, n)]
         assert tail[0] >= tail[1] >= tail[2]
         assert rep.consistency == tail[-1]
 
@@ -200,3 +236,7 @@ class TestDCWorkspace:
         ref = oracles.field_load_loop(mesh, g)
         assert np.max(np.abs(ws.g_load(g) - ref)) <= \
             1e-13 * np.max(np.abs(ref))
+
+    def test_no_interior_vertices_rejected(self):
+        with pytest.raises(ValueError, match="no interior vertices"):
+            plap.DCWorkspace(generate_unit_square(1))
