@@ -203,20 +203,25 @@ class DirichletFactor:
                     if len(self.idx) else None)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
+        """Solution on all vertices for a load b on all vertices."""
         u = np.zeros(self.n)
-        if self._lu is None:
-            return u
-        bi = np.asarray(b, dtype=np.float64)[self.idx]
-        bnorm = np.linalg.norm(bi)
+        u[self.idx] = self.solve_interior(np.asarray(b, dtype=np.float64)
+                                          [self.idx])
+        return u
+
+    def solve_interior(self, b: np.ndarray) -> np.ndarray:
+        """Solution on the interior vertices (in the order of idx) for a load
+        b given on the interior vertices; a mesh without interior vertices
+        has an empty, hence zero, load."""
+        bnorm = np.linalg.norm(b)
         if bnorm == 0.0:
-            return u
-        x = self._lu.solve(bi)
-        res = np.linalg.norm(bi - self._A @ x) / bnorm
+            return np.zeros(len(self.idx))
+        x = self._lu.solve(b)
+        res = np.linalg.norm(b - self._A @ x) / bnorm
         if res > SOLVE_RTOL:
             raise SolverError(f"factorized solve exceeded residual tolerance: "
                               f"{res:.3e}", residual=res)
-        u[self.idx] = x
-        return u
+        return x
 
 
 def grad(u: P1Function) -> np.ndarray:

@@ -6,6 +6,14 @@ solve, a pointwise scalar resolvent that recovers the auxiliary flux, and a
 multiplier-style correction of the coordination field.  The auxiliary fields
 live in the space of piecewise-constant vectors, matching the gradients of
 P1 trial functions.
+
+After a sweep the state is the single field w = xi + grad u (nu = R(w) by
+the resolvent and xi = w - nu), so the iteration is a fixed-point map
+w -> T(w).  dc_solve accelerates it with type-II Anderson acceleration
+(Walker & Ni, SIAM J. Numer. Anal. 2011) over the last ANDERSON_MEMORY
+sweeps, falling back to the plain sweep whenever the least-squares problem
+is singular.  Sweeps work in interior-vertex coordinates with operators
+that DCWorkspace builds once per mesh.
 """
 
 from __future__ import annotations
@@ -25,6 +33,14 @@ log = logging.getLogger(__name__)
 
 #: Default seed of the PCG64 generator drawing the random initial fields.
 DEFAULT_SEED = 42
+
+#: Number of past sweep differences the Anderson extrapolation combines.
+ANDERSON_MEMORY = 3
+
+#: Smallest pivot of the unit-diagonal Gram matrix's Cholesky factor (the
+#: sine of the angle between a residual difference and the span of the
+#: others) that the Anderson extrapolation accepts.
+ANDERSON_PIVOT_TOL = 1e-6
 
 
 def resolvent_many(s: np.ndarray, p: float) -> np.ndarray:
@@ -71,17 +87,19 @@ def _resolvent_newton(s: np.ndarray, p: float) -> np.ndarray:
     contract of resolvent_many.
 
     Safeguarded Newton with a bisection fallback.  The root is bracketed in
-    [0, min(s, s^{1/(p-1)})] (both bounds dominate it; the min avoids
-    overflow for p close to 1).  For p < 2 the derivative blows up at 0, so
-    iterations start at s/2 and the bracket keeps Newton away from the
-    singularity.
+    [0, min(s, s^{1/(p-1)})] (both bounds dominate it).  The power is only
+    taken where it is the smaller bound, s < 1 exactly when p < 2, so it
+    cannot overflow, and the bisection midpoint lo + (hi - lo)/2 stays below
+    hi <= s.  For p < 2 the derivative blows up at 0, so iterations start at
+    s/2 and the bracket keeps Newton away from the singularity.
     """
     r = np.zeros_like(s)
     active = s > 0.0
     if not active.any():
         return r
     sv = s[active]
-    hi = np.minimum(sv, sv ** (1.0 / (p - 1.0)))
+    hi = sv.copy()
+    np.power(sv, 1.0 / (p - 1.0), out=hi, where=(sv < 1.0) == (p < 2.0))
     lo = np.zeros_like(sv)
     rr = np.minimum(0.5 * sv, hi)
     tol = 1e-13 * np.maximum(1.0, sv)
@@ -98,7 +116,7 @@ def _resolvent_newton(s: np.ndarray, p: float) -> np.ndarray:
             dphi = (p - 1.0) * rr ** (p - 2.0) + 1.0
         step = rr - phi / dphi
         bad = ~np.isfinite(step) | (step <= lo) | (step >= hi)
-        rr = np.where(done, rr, np.where(bad, 0.5 * (lo + hi), step))
+        rr = np.where(done, rr, np.where(bad, lo + 0.5 * (hi - lo), step))
     residual = np.abs(rr ** (p - 1.0) + rr - sv)
     if np.any(residual > tol):
         worst = float(residual.max())
@@ -115,11 +133,9 @@ def nu_update(w: np.ndarray, p: float) -> np.ndarray:
     resolvent_many(|w|, p); zero rows stay zero.
     """
     w = np.asarray(w, dtype=np.float64)
-    n = np.linalg.norm(w, axis=-1)
+    n = np.sqrt(np.einsum("...d,...d->...", w, w))
     r = resolvent_many(n, p)
-    scale = np.zeros_like(n)
-    nz = n > 0.0
-    scale[nz] = r[nz] / n[nz]
+    scale = np.divide(r, n, out=np.zeros_like(n), where=n > 0.0)
     return scale[..., None] * w
 
 
@@ -143,13 +159,22 @@ class DCReport:
 
 
 class DCWorkspace:
-    """Per-mesh cache for repeated p-Laplacian solves.
+    """Per-mesh operators of the splitting sweep, in interior-vertex
+    coordinates.
 
-    Holds the factorized interior block of the stiffness matrix, the mass
-    matrix behind the L2 norm of the stopping test, and the scatter operator
-    mapping a piecewise-constant vector field g to the load contribution
-    -sum_T |T| g . grad(phi_i).  Every solve path builds one, so it is where
-    a mesh without interior vertices (a trivial trial space) is rejected.
+    Trial functions vanish on the boundary, so a sweep needs only their
+    interior coefficients, in the order of `factor.idx`.  The workspace
+    holds three operators on them:
+    - factor: the factorized interior block of the stiffness matrix;
+    - mass: the interior block of the mass matrix, behind the L2 norm of
+      the stopping test;
+    - grad: the elementwise gradient, a sparse 2 nt x n_int matrix whose
+      row d nt + t is component d of the gradient on triangle t (fields
+      are stored component by component to match).  Its transpose, a view
+      built once, is the divergence behind g_load.
+
+    Every solve path builds one, so it is where a mesh without interior
+    vertices (a trivial trial space) is rejected.
     """
 
     def __init__(self, mesh: Mesh):
@@ -159,24 +184,26 @@ class DCWorkspace:
         self.mesh = mesh
         stiffness = fem.assemble_stiffness(mesh)
         self.factor = DirichletFactor(stiffness, mesh.boundary_vertex)
-        self.mass = fem.assemble_mass(mesh)
+        idx = self.factor.idx
+        self.mass = fem.assemble_mass(mesh)[idx][:, idx]
         nt = mesh.num_triangles
-        # Column 2 t + d holds |T| times component d of grad(phi_i) in the
-        # rows of the three vertices i of T.
-        data = mesh.areas[:, None, None] * mesh.basis_gradients
-        self._div = sp.csc_matrix(
-            (data.transpose(0, 2, 1).ravel(),
-             np.repeat(mesh.triangles, 2, axis=0).ravel(),
+        # Row d nt + t holds component d of grad(phi_i) for the three
+        # vertices i of T; a boundary vertex's entry is an explicit zero in
+        # column 0, so every row keeps three entries and nothing is masked.
+        col = np.zeros(mesh.num_vertices, dtype=np.int64)
+        col[idx] = np.arange(len(idx))
+        inner = ~mesh.boundary_vertex[mesh.triangles]
+        self.grad = sp.csr_matrix(
+            ((mesh.basis_gradients * inner[:, :, None]).transpose(2, 0, 1)
+             .ravel(), np.tile(col[mesh.triangles], (2, 1)).ravel(),
              np.arange(0, 6 * nt + 1, 3)),
-            shape=(mesh.num_vertices, 2 * nt))
+            shape=(2 * nt, len(idx)))
+        self._div = self.grad.T
 
     def g_load(self, g: np.ndarray) -> np.ndarray:
-        """Load vector of the field term: -sum_T |T| g_T . grad(phi_i)."""
-        return -(self._div @ g.ravel())
-
-    def l2_norm(self, coeffs: np.ndarray) -> float:
-        """L2 norm of the P1 function with the given coefficients (exact)."""
-        return float(np.sqrt(coeffs @ (self.mass @ coeffs)))
+        """Load vector of the field term on the interior vertices:
+        -sum_T |T| g_T . grad(phi_i)."""
+        return -(self._div @ (self.mesh.areas[:, None] * g).T.ravel())
 
 
 def random_fields(mesh: Mesh, seed: int = DEFAULT_SEED) -> tuple[np.ndarray, np.ndarray]:
@@ -204,6 +231,15 @@ def dc_solve(mesh: Mesh, f, p: float, eps_n: float = 1e-5, max_iter: int = 500,
 
     init supplies the starting fields (xi, nu); by default they are drawn
     from the seeded generator of random_fields.
+
+    Sweeps 1 to 3 are plain; from then on each sweep starts from the
+    Anderson extrapolate of the earlier images T(w) (see _Anderson), so a
+    solve that stops within three sweeps, such as every solve at p = 2, is
+    the plain iteration.  One sweep costs one resolvent, one triangular
+    solve with its residual check, one product each with grad, its
+    transpose and the interior mass matrix (M x is carried to the next
+    sweep's stopping test), and the extrapolation's few inner products.
+    The report's xi and nu are the fields of the last plain image T(w).
     """
     if p <= 1:
         raise ValueError("p must exceed 1")
@@ -214,44 +250,119 @@ def dc_solve(mesh: Mesh, f, p: float, eps_n: float = 1e-5, max_iter: int = 500,
     ws = workspace if workspace is not None else DCWorkspace(mesh)
     nt = mesh.num_triangles
 
-    if init is None:
-        xi, nu = random_fields(mesh, seed)
-    else:
-        xi, nu = (np.array(init[0], dtype=np.float64),
-                  np.array(init[1], dtype=np.float64))
-        if xi.shape != (nt, 2) or nu.shape != (nt, 2):
-            raise ValueError("init fields must have one 2-vector per triangle")
+    # Fields are (nt, 2) arrays stored component by component (Fortran
+    # order), the row order of ws.grad, so that every field operation runs
+    # over contiguous memory.
+    xi, nu = (np.array(a, dtype=np.float64, order="F")
+              for a in (random_fields(mesh, seed) if init is None else init))
+    if xi.shape != (nt, 2) or nu.shape != (nt, 2):
+        raise ValueError("init fields must have one 2-vector per triangle")
 
-    b_f = fem.assemble_rhs(mesh, f)
-    u = P1Function(mesh, np.zeros(mesh.num_vertices))
+    b_f = fem.assemble_rhs(mesh, f)[ws.factor.idx]
+    accel = _Anderson(mesh.areas)
+    x = mx = w = None
     n = 0
     rel_change = np.inf
     converged = False
     while n < max_iter:
-        prev_coeffs = u.coeffs
         n += 1
-        b = b_f + ws.g_load(xi - nu)
-        u = P1Function(mesh, ws.factor.solve(b))
-        gu = fem.grad(u)
-        w = xi + gu
-        nu = nu_update(w, p)
-        xi = w - nu
+        if w is not None:
+            nu = nu_update(w, p)
+            xi = w - nu
+        x_new = ws.factor.solve_interior(b_f + ws.g_load(xi - nu))
+        gu = (ws.grad @ x_new).reshape(2, nt).T
+        tw = xi + gu
+        mx_new = ws.mass @ x_new
         if n >= 2:
-            diff = ws.l2_norm(u.coeffs - prev_coeffs)
-            base = ws.l2_norm(prev_coeffs)
+            d = x_new - x
+            diff = math.sqrt(max(float(d @ (mx_new - mx)), 0.0))
+            base = math.sqrt(float(x @ mx))
             rel_change = diff / base if base > 0.0 else diff
             if rel_change < eps_n:
                 converged = True
                 break
+        x, mx = x_new, mx_new
+        w = tw if w is None else accel.step(tw, tw - w)
 
     if not converged:
         log.warning("dc_solve hit max_iter=%d at relative change %.3e",
                     max_iter, rel_change)
 
+    nu = nu_update(tw, p)
+    xi = tw - nu
     q = p / (p - 1.0)
     mismatch = np.linalg.norm(xi - fem.p_flux(gu, p), axis=1)
     consistency = float(np.dot(mesh.areas, mismatch ** q) ** (1.0 / q))
+    coeffs = np.zeros(mesh.num_vertices)
+    coeffs[ws.factor.idx] = x_new
     report = DCReport(iterations=n, rel_change=float(rel_change),
                       consistency=consistency, converged=converged,
                       xi=xi, nu=nu)
-    return u, report
+    return P1Function(mesh, coeffs), report
+
+
+class _Anderson:
+    """Type-II Anderson acceleration of the sweep map w -> T(w).
+
+    step(g, f) takes g = T(w) and the residual f = g - w of the latest sweep
+    and returns the next w: g - dG gamma, where the columns of dF and dG are
+    the last ANDERSON_MEMORY differences of consecutive residuals and
+    images, and gamma minimizes |f - dF gamma| in the area-weighted inner
+    product sum_T |T| a_T . b_T.  The Gram matrix dF^T W dF gains one row
+    and column per step.  If it is numerically singular (after scaling to a
+    unit diagonal, a Cholesky pivot below ANDERSON_PIVOT_TOL) or the
+    extrapolate is not finite, step returns g and clears the differences.
+    """
+
+    def __init__(self, areas: np.ndarray):
+        self._areas = areas
+        self._df = self._dg = None  # allocated at the first difference
+        self._gram = np.empty((ANDERSON_MEMORY, ANDERSON_MEMORY))
+        self.depth = 0
+        self._slot = 0
+        self._last = None
+
+    def step(self, g: np.ndarray, f: np.ndarray) -> np.ndarray:
+        g, f = g.T.ravel(), f.T.ravel()
+        if self._last is not None:
+            self._add_differences(g, f)
+        self._last = (g, f)
+        w = self._extrapolate(g, f) if self.depth else g
+        return w.reshape(2, -1).T
+
+    def _weighted(self, v: np.ndarray) -> np.ndarray:
+        """W v for a flat field v stored component by component."""
+        return (v.reshape(2, -1) * self._areas).ravel()
+
+    def _add_differences(self, g: np.ndarray, f: np.ndarray) -> None:
+        if self._df is None:
+            self._df = np.empty((ANDERSON_MEMORY, len(f)))
+            self._dg = np.empty((ANDERSON_MEMORY, len(g)))
+        j = self._slot
+        np.subtract(f, self._last[1], out=self._df[j])
+        np.subtract(g, self._last[0], out=self._dg[j])
+        self.depth = min(self.depth + 1, ANDERSON_MEMORY)
+        self._slot = (j + 1) % ANDERSON_MEMORY
+        col = self._df[:self.depth] @ self._weighted(self._df[j])
+        self._gram[j, :self.depth] = col
+        self._gram[:self.depth, j] = col
+
+    def _extrapolate(self, g: np.ndarray, f: np.ndarray) -> np.ndarray:
+        k = self.depth
+        rhs = self._df[:k] @ self._weighted(f)
+        scale = np.sqrt(self._gram.diagonal()[:k])
+        with np.errstate(all="ignore"):
+            gram = self._gram[:k, :k] / np.outer(scale, scale)
+            try:
+                ok = np.linalg.cholesky(gram).diagonal().min() > \
+                    ANDERSON_PIVOT_TOL
+            except np.linalg.LinAlgError:
+                ok = False
+            if ok:
+                gamma = np.linalg.solve(gram, rhs / scale) / scale
+                w = g - gamma @ self._dg[:k]
+                if np.isfinite(w).all():
+                    return w
+        self.depth = 0
+        self._slot = 0
+        return g

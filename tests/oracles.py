@@ -13,6 +13,7 @@ from math import factorial
 import numpy as np
 import scipy.sparse as sp
 
+from plapeig import fem, plap
 from plapeig.driver import ConvergenceLog, LogRow
 from plapeig.io import CSV_HEADER
 
@@ -263,3 +264,56 @@ def interior_edges_two_sorts(mesh):
     lengths = np.sqrt((evec * evec).sum(axis=1))
     normals = np.column_stack((evec[:, 1], -evec[:, 0])) / lengths[:, None]
     return np.column_stack((va, vb)), t_plus, t_minus, normals, lengths
+
+
+def dc_sweep_plain(mesh, f, p: float, eps_n: float, max_iter: int,
+                   seed: int = plap.DEFAULT_SEED):
+    """The decomposition-coordination iteration without acceleration, on
+    full vertex vectors, from the seeded random fields; returns (vertex
+    values, sweeps) at the first sweep whose relative L2 change of u is
+    below eps_n (None for the values if max_iter is reached).
+
+    Each sweep solves K u = b_f - div(xi - nu) with the package's
+    factorization, then sets w = xi + grad u, nu = nu_update(w, p),
+    xi = w - nu.  The field load is scattered triangle by triangle and the
+    L2 norm uses a mass matrix assembled from the element matrices."""
+    factor = fem.DirichletFactor(fem.assemble_stiffness(mesh),
+                                 mesh.boundary_vertex)
+    mass = scatter_assembly(mesh, mass_local(mesh))
+    weighted = mesh.areas[:, None, None] * mesh.basis_gradients  # (nt, 3, 2)
+    b_f = fem.assemble_rhs(mesh, f)
+    xi, nu = plap.random_fields(mesh, seed)
+    u_prev = None
+    for n in range(1, max_iter + 1):
+        b = b_f.copy()
+        np.add.at(b, mesh.triangles,
+                  -np.einsum("tid,td->ti", weighted, xi - nu))
+        u = factor.solve(b)
+        w = xi + fem.grad(fem.P1Function(mesh, u))
+        nu = plap.nu_update(w, p)
+        xi = w - nu
+        if u_prev is not None:
+            d = u - u_prev
+            base = np.sqrt(u_prev @ (mass @ u_prev))
+            if np.sqrt(d @ (mass @ d)) < eps_n * base:
+                return u, n
+        u_prev = u
+    return None, max_iter
+
+
+def square_cheeger_bound(p: float) -> float:
+    """Cheeger's lower bound (h / p)^p on the first Dirichlet eigenvalue of
+    the p-Laplacian on the unit square.  The Cheeger set is the square with
+    its corners rounded by circular arcs of radius r = 1 / h; its area
+    1 - (4 - pi) r^2 equals r times its perimeter 4 - (8 - 2 pi) r, so r is
+    the smaller root of (4 - pi) r^2 - 4 r + 1 = 0."""
+    a = 4.0 - np.pi
+    r = min(np.roots([a, -4.0, 1.0]).real)
+    return (1.0 / (r * p)) ** p
+
+
+#: mu of `iiss` on generate_unit_square(8) with the default seed, converged
+#: tightly: iiss(generate_unit_square(8), p, eps_m=1e-11, eps_n=1e-11,
+#: max_m=1000, max_dc=20000).mu_rayleigh (16 inverse sweeps and 289 DC
+#: sweeps at p = 3; 15 and 1,501 at p = 8).
+SQUARE8_TIGHT_MU = {3.0: 67.48228923944153, 8.0: 10075.7640766391}

@@ -167,3 +167,17 @@ class TestIISS:
         r2 = eigen.iiss(m, 1.5, seed=5)
         assert np.array_equal(r1.u_lp.coeffs, r2.u_lp.coeffs)
         assert r1.lambda_history == r2.lambda_history
+
+
+class TestExponentRange:
+    @pytest.mark.parametrize("p", [1.2, 1.5, 2.0, 3.0, 5.0, 8.0, 12.0, 20.0])
+    def test_default_caps_converge_above_cheeger_bound(self, p):
+        res = eigen.iiss(generate_unit_square(8), p)
+        assert res.converged
+        assert res.mu_rayleigh >= oracles.square_cheeger_bound(p)
+
+    @pytest.mark.parametrize("p,rel", [(3.0, 1e-9), (8.0, 2e-6)])
+    def test_default_tolerances_near_tight_mu(self, p, rel):
+        res = eigen.iiss(generate_unit_square(8), p)
+        tight = oracles.SQUARE8_TIGHT_MU[p]
+        assert abs(res.mu_rayleigh - tight) <= rel * tight

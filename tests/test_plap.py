@@ -47,14 +47,18 @@ class TestResolvent:
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
     def test_closed_forms_match_newton(self, p, rng):
         s = self.wide_s(rng)
-        if p == 1.5:
-            # Newton's bisection midpoint (lo + hi) / 2 overflows at the
-            # largest double; there the contract test alone checks the root
-            s = s[s < np.finfo(float).max]
         r = plap.resolvent_many(s, p)
-        with np.errstate(over="ignore"):  # the bracket's s^{1/(p-1)} -> inf
-            ref = plap._resolvent_newton(s, p)
+        ref = plap._resolvent_newton(s, p)
         assert np.all(np.abs(r - ref) <= 1e-13 * np.maximum(1.0, s))
+
+    @pytest.mark.parametrize("p", [1.1, 1.7, 1.9])
+    def test_newton_near_largest_double(self, p):
+        s = np.array([1e300, 1e308, np.finfo(float).max])
+        with np.errstate(over="raise"):
+            r = plap.resolvent_many(s, p)
+        assert np.all(np.isfinite(r))
+        res = np.abs(r ** (p - 1.0) + r - s)
+        assert np.all(res <= 1e-13 * s)
 
     def test_p2_is_bit_identical_to_newton(self, rng):
         s = self.wide_s(rng)
@@ -171,6 +175,47 @@ class TestDCSolve:
         assert tail[0] >= tail[1] >= tail[2]
         assert rep.consistency == tail[-1]
 
+    @pytest.mark.parametrize("p", [1.5, 3.0, 8.0])
+    def test_accelerated_sweep_reaches_plain_limit_sooner(self, p):
+        m = generate_unit_square(6)
+        u_ref, n_ref = oracles.dc_sweep_plain(m, 1.0, p, 1e-10, 5000)
+        u, rep = plap.dc_solve(m, 1.0, p, eps_n=1e-10, max_iter=5000)
+        assert u_ref is not None and rep.converged
+        assert np.max(np.abs(u.coeffs - u_ref)) <= 1e-8 * np.max(u_ref)
+        assert rep.iterations < n_ref
+
+    def test_p2_is_bit_identical_to_plain_sweep(self):
+        m = generate_unit_square(7)
+        u_ref, n_ref = oracles.dc_sweep_plain(m, 1.0, 2.0, 1e-5, 500)
+        u, rep = plap.dc_solve(m, 1.0, 2.0)
+        assert rep.iterations == n_ref == 3
+        assert np.array_equal(u.coeffs, u_ref)
+
+    def test_singular_history_takes_plain_step(self, rng):
+        accel = plap._Anderson(rng.uniform(0.5, 1.0, size=20))
+        g = rng.standard_normal((4, 20, 2))
+        f = rng.standard_normal((20, 2))
+        assert np.array_equal(accel.step(g[0], f), g[0])
+        # residuals f and 2 f: the least-squares weight of the difference
+        # is 2, which extrapolates to where the residual vanishes
+        w = accel.step(g[1], 2.0 * f)
+        assert accel.depth == 1
+        assert np.allclose(w, g[1] - 2.0 * (g[1] - g[0]), rtol=0, atol=1e-12)
+        # the next difference repeats the last one: the Gram matrix of the
+        # two is singular, so the step is plain and the history is cleared
+        w = accel.step(g[2], 3.0 * f)
+        assert accel.depth == 0 and np.array_equal(w, g[2])
+        accel.step(g[3], 5.0 * f)
+        assert accel.depth == 1
+
+    def test_nonfinite_extrapolate_takes_plain_step(self, rng):
+        accel = plap._Anderson(np.ones(5))
+        f0, f1 = rng.standard_normal((2, 5, 2))
+        accel.step(np.zeros((5, 2)), f0)
+        g = np.full((5, 2), np.inf)
+        w = accel.step(g, f1)
+        assert accel.depth == 0 and np.all(w == np.inf)
+
     def test_explicit_init_used(self):
         m = generate_unit_square(4)
         nt = m.num_triangles
@@ -219,23 +264,37 @@ class TestDCWorkspace:
         refine(generate_disk(3), [0, 5, 17]),
     ])
     def test_l2_norm_matches_quadrature(self, mesh, rng):
+        # the interior mass block gives the L2 norm of a P1 function from
+        # its interior coefficients; boundary values are zero
         ws = plap.DCWorkspace(mesh)
-        for coeffs in (rng.standard_normal(mesh.num_vertices),
-                       np.ones(mesh.num_vertices)):
+        idx = ws.factor.idx
+        for inner in (rng.standard_normal(len(idx)), np.ones(len(idx))):
+            coeffs = np.zeros(mesh.num_vertices)
+            coeffs[idx] = inner
             ref = oracles.l2_norm_quadrature(mesh, coeffs)
-            assert ws.l2_norm(coeffs) == pytest.approx(ref, rel=1e-13)
-        assert ws.l2_norm(np.zeros(mesh.num_vertices)) == 0.0
+            norm = np.sqrt(inner @ (ws.mass @ inner))
+            assert norm == pytest.approx(ref, rel=1e-13)
 
     @pytest.mark.parametrize("mesh", [
         generate_unit_square(3),
         refine(generate_disk(2), [0, 5, 17]),
     ])
     def test_g_load_matches_triangle_loop(self, mesh, rng):
+        # g_load gives the interior rows of the load
         ws = plap.DCWorkspace(mesh)
         g = rng.standard_normal((mesh.num_triangles, 2))
-        ref = oracles.field_load_loop(mesh, g)
+        ref = oracles.field_load_loop(mesh, g)[ws.factor.idx]
         assert np.max(np.abs(ws.g_load(g) - ref)) <= \
             1e-13 * np.max(np.abs(ref))
+
+    def test_grad_matches_elementwise_gradient(self, rng):
+        mesh = refine(generate_disk(2), [0, 5, 17])
+        ws = plap.DCWorkspace(mesh)
+        coeffs = np.zeros(mesh.num_vertices)
+        coeffs[ws.factor.idx] = rng.standard_normal(len(ws.factor.idx))
+        ref = fem.grad(fem.P1Function(mesh, coeffs))
+        got = (ws.grad @ coeffs[ws.factor.idx]).reshape(2, -1).T
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     def test_no_interior_vertices_rejected(self):
         with pytest.raises(ValueError, match="no interior vertices"):
