@@ -9,9 +9,10 @@ the first eigenpair), `estimator` (residual indicators and bulk marking),
 command-line front end; `python -m plapeig` runs the latter).
 """
 
-from .mesh import (Mesh, EdgeTable, MeshConformityError, edge_table,
-                   generate_disk, generate_lshape, generate_unit_square,
-                   prolong_vertex_values, refine, refine_uniform)
+from .mesh import (Mesh, EdgeTable, MeshConformityError, check_conforming,
+                   edge_table, generate_disk, generate_lshape,
+                   generate_unit_square, prolong_vertex_values, refine,
+                   refine_uniform)
 from .fem import (DEGREE5, DirichletFactor, P1Function, QuadRule, SolverError,
                   assemble_mass, assemble_rhs, assemble_stiffness, grad,
                   lp_norm, p_flux, rayleigh, sup_norm, w1p_seminorm_p)
@@ -26,8 +27,8 @@ from .io import (MeshFormatError, load_mesh, save_mesh, write_convergence_csv,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Mesh", "EdgeTable", "MeshConformityError", "edge_table", "generate_disk",
-    "generate_lshape", "generate_unit_square",
+    "Mesh", "EdgeTable", "MeshConformityError", "check_conforming",
+    "edge_table", "generate_disk", "generate_lshape", "generate_unit_square",
     "prolong_vertex_values", "refine", "refine_uniform",
     "DEGREE5", "DirichletFactor", "P1Function", "QuadRule", "SolverError",
     "assemble_mass", "assemble_rhs", "assemble_stiffness", "grad", "lp_norm",

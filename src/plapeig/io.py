@@ -14,7 +14,7 @@ from dataclasses import astuple
 
 import numpy as np
 
-from .mesh import Mesh, edge_table
+from .mesh import Mesh, check_conforming
 from .fem import P1Function
 
 CSV_HEADER = "k,vertices,elements,mu,lambda_iiss,eta,iiss_iters,dc_iters,marked,seconds"
@@ -49,7 +49,8 @@ def load_mesh(path: str) -> Mesh:
     Raises MeshFormatError with the offending line number on malformed
     input, on a non-finite coordinate, on a vertex that no triangle uses
     and on a b flag that disagrees with the topology; MeshConformityError
-    on a clockwise or degenerate triangle or a non-conforming mesh."""
+    from `check_conforming`, the one conformity check of a run, on a
+    clockwise or degenerate triangle or a non-conforming mesh."""
     with open(path, "r", encoding="ascii") as fp:
         raw = fp.read().splitlines()
 
@@ -105,8 +106,7 @@ def load_mesh(path: str) -> Mesh:
         raise MeshFormatError("vertex is used by no triangle",
                               int(2 + unused[0]))
     mesh = Mesh(vertices=vertices, triangles=triangles)
-    mesh.areas  # raises on clockwise or degenerate triangles
-    edge_table(mesh)  # raises on non-conforming edges
+    check_conforming(mesh)
     wrong = np.nonzero(boundary != mesh.boundary_vertex)[0]
     if wrong.size:
         raise MeshFormatError("boundary flag disagrees with the mesh topology",

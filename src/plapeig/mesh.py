@@ -119,8 +119,8 @@ class Mesh:
         t opposite its local vertex j; counts[e] is how many triangles hold
         edge e (1 on the boundary); order lists the occurrences 3 t + j
         grouped by edge, in ascending edge and then triangle order.
-        edge_table, refine, boundary_vertex and the matrix assembly of fem
-        all read this.
+        edge_table, check_conforming, refine, boundary_vertex and the matrix
+        assembly of fem all read this.
         """
         nv = self.num_vertices
         a, b = _edge_arrays(self.triangles)
@@ -155,12 +155,11 @@ class Mesh:
 class EdgeTable:
     """Interior edges of a conforming mesh.
 
-    Interior edge i runs between int_vertices[i] = (a, b) as traversed by
-    triangle int_tri_plus[i]; int_normals[i] is the unit normal pointing from
-    the plus triangle into int_tri_minus[i].
+    Interior edge i is held by triangles int_tri_plus[i] and
+    int_tri_minus[i]; int_normals[i] is its unit normal pointing from the
+    plus triangle into the minus one, and int_lengths[i] its length.
     """
 
-    int_vertices: np.ndarray   # (ne_i, 2) int
     int_tri_plus: np.ndarray   # (ne_i,) int
     int_tri_minus: np.ndarray  # (ne_i,) int
     int_normals: np.ndarray    # (ne_i, 2) float
@@ -187,41 +186,28 @@ def _stable_sort(x: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
     return order, x[order]
 
 
-def edge_table(mesh: Mesh) -> EdgeTable:
-    """Build the edge table from `mesh.edge_numbering`, validating conformity.
+def check_conforming(mesh: Mesh) -> None:
+    """Raise MeshConformityError unless `mesh` is a conforming 2-manifold.
 
-    Raises MeshConformityError if an edge is shared by more than two
-    triangles, the two triangles sharing an edge traverse it in the same
-    direction, or the boundary is not a 1-manifold (the signature of
-    hanging nodes).
+    Rejects, in this order: a clockwise or degenerate triangle (through
+    `mesh.areas`), an edge shared by more than two triangles, two triangles
+    that traverse their shared edge in the same direction, and a boundary
+    that is not a 1-manifold (hanging nodes, pinched vertices).  The
+    generators and `refine` make conforming meshes by construction;
+    `load_mesh` checks every file it reads.
     """
+    mesh.areas
     nv = mesh.num_vertices
-    a, b = _edge_arrays(mesh.triangles)
-    codes, _, counts, order = mesh.edge_numbering
+    codes, edge_id, counts, _ = mesh.edge_numbering
     if np.any(counts > 2):
         raise MeshConformityError("an edge is shared by more than two triangles")
 
-    tri_of = order // 3
-    loc_of = order % 3
-    first = np.concatenate(([0], np.cumsum(counts)[:-1]))
-
-    int_ids = np.nonzero(counts == 2)[0]
-    plus_occ = first[int_ids]
-    minus_occ = plus_occ + 1
-    t_plus = tri_of[plus_occ]
-    t_minus = tri_of[minus_occ]
-    a_plus = a[t_plus, loc_of[plus_occ]]
-    b_plus = b[t_plus, loc_of[plus_occ]]
-    a_minus = a[t_minus, loc_of[minus_occ]]
-    b_minus = b[t_minus, loc_of[minus_occ]]
-    if np.any(a_plus != b_minus) or np.any(b_plus != a_minus):
+    # Of two triangles holding an edge, one runs it from low to high index.
+    a, b = _edge_arrays(mesh.triangles)
+    forward = np.bincount(edge_id.ravel(), (a < b).ravel(), len(codes))
+    if np.any(forward[counts == 2] != 1):
         raise MeshConformityError("adjacent triangles traverse a shared edge "
                                   "in the same direction")
-
-    evec = mesh.vertices[b_plus] - mesh.vertices[a_plus]
-    lengths = np.linalg.norm(evec, axis=1)
-    # Outward normal of the plus triangle: edge vector rotated by -90 degrees.
-    normals = np.column_stack((evec[:, 1], -evec[:, 0])) / lengths[:, None]
 
     # Boundary must be a 1-manifold: exactly two boundary edges per boundary
     # vertex.  A hanging node leaves its host edge unmatched and shows up here.
@@ -232,13 +218,24 @@ def edge_table(mesh: Mesh) -> EdgeTable:
         raise MeshConformityError("boundary is not a closed polygonal curve "
                                   "(hanging node or pinched vertex)")
 
-    return EdgeTable(
-        int_vertices=np.column_stack((a_plus, b_plus)),
-        int_tri_plus=t_plus,
-        int_tri_minus=t_minus,
-        int_normals=normals,
-        int_lengths=lengths,
-    )
+
+def edge_table(mesh: Mesh) -> EdgeTable:
+    """Read the interior edges off `mesh.edge_numbering`.
+
+    Assumes a conforming mesh (see `check_conforming`).  The plus side of an
+    interior edge is the first of its two occurrences in `order`.
+    """
+    _, _, counts, order = mesh.edge_numbering
+    first = (np.cumsum(counts) - counts)[counts == 2]
+    t_plus, j_plus = np.divmod(order[first], 3)
+    a, b = _edge_arrays(mesh.triangles)
+    evec = (mesh.vertices[b[t_plus, j_plus]]
+            - mesh.vertices[a[t_plus, j_plus]])
+    lengths = np.linalg.norm(evec, axis=1)
+    # Outward normal of the plus triangle: edge vector rotated by -90 degrees.
+    normals = np.column_stack((evec[:, 1], -evec[:, 0])) / lengths[:, None]
+    return EdgeTable(int_tri_plus=t_plus, int_tri_minus=order[first + 1] // 3,
+                     int_normals=normals, int_lengths=lengths)
 
 
 def generate_unit_square(n: int) -> Mesh:

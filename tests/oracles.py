@@ -317,3 +317,36 @@ def square_cheeger_bound(p: float) -> float:
 #: max_m=1000, max_dc=20000).mu_rayleigh (16 inverse sweeps and 289 DC
 #: sweeps at p = 3; 15 and 1,501 at p = 8).
 SQUARE8_TIGHT_MU = {3.0: 67.48228923944153, 8.0: 10075.7640766391}
+
+
+#: The first Dirichlet eigenvalue of the Laplacian on the L-shape of
+#: `generate_lshape`, three unit squares (area 3): 9.6397238440219
+#: (Trefethen & Betcke, "Computed eigenmodes of planar regions", Contemp.
+#: Math. 412, 2006).
+LSHAPE_LAMBDA_REF = 9.6397238440219
+
+
+#: Counterclockwise triangulations that are not conforming 2-manifolds, one
+#: defect each: kind -> (vertices, triangles, part of the message of the
+#: MeshConformityError that check_conforming raises).
+NONCONFORMING = {
+    # the diagonal midpoint of the unit square hangs on one side
+    "hanging_node": ([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0],
+                      [0.5, 0.5]],
+                     [[1, 2, 0], [4, 3, 0], [2, 3, 4]],
+                     "not a closed polygonal curve"),
+    # edge (0, 1) is held by one triangle below it and two above it
+    "overshared_edge": ([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, -1.0],
+                         [0.5, 2.0]],
+                        [[0, 1, 2], [1, 0, 3], [0, 1, 4]],
+                        "more than two triangles"),
+    # two overlapping triangles both run along edge (0, 1) from 0 to 1
+    "same_direction": ([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]],
+                       [[0, 1, 2], [0, 1, 3]],
+                       "in the same direction"),
+    # two triangles that meet only at vertex 0
+    "pinched_vertex": ([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [-1.0, 0.0],
+                        [0.0, -1.0]],
+                       [[0, 1, 2], [0, 3, 4]],
+                       "not a closed polygonal curve"),
+}

@@ -23,11 +23,9 @@ def write_bad_mesh_file(kind: str, path: Path) -> None:
         tri = m.triangles.copy()
         tri[4] = tri[4, [0, 2, 1]]
         m = Mesh(vertices=m.vertices, triangles=tri)
-    elif kind == "hanging_node":
-        # the diagonal midpoint of the unit square hangs on one side
-        m = Mesh(vertices=[[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0],
-                           [0.5, 0.5]],
-                 triangles=[[1, 2, 0], [4, 3, 0], [2, 3, 4]])
+    elif kind in oracles.NONCONFORMING:
+        vertices, triangles, _ = oracles.NONCONFORMING[kind]
+        m = Mesh(vertices=vertices, triangles=triangles)
     elif kind == "no_interior":
         m = Mesh(vertices=[[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
                  triangles=[[0, 1, 2]])
@@ -135,8 +133,8 @@ class TestMain:
                      "--out", str(tmp_path / "o")]) == 1
 
     @pytest.mark.parametrize("kind", ["clockwise", "wrong_flag",
-                                      "orphan_vertex", "hanging_node",
-                                      "no_interior"])
+                                      "orphan_vertex", "no_interior",
+                                      *sorted(oracles.NONCONFORMING)])
     def test_bad_mesh_file_is_usage_error(self, kind, tmp_path, capsys):
         path = tmp_path / "bad.txt"
         write_bad_mesh_file(kind, path)

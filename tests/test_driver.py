@@ -154,3 +154,39 @@ class TestRunAfem:
         log = ConvergenceLog()
         with pytest.raises(KeyError):
             log.column("nope")
+
+
+def lshape_p2_errors(theta: float, max_loops: int):
+    """(vertices, mu - lambda_ref, eta) per level of an adaptive L-shape run
+    at p = 2 from resolution 4 that stops only at max_loops."""
+    log = run_afem(AfemConfig(domain="lshape", resolution=4, p=2.0,
+                              theta=theta, eps_k=1e-12, max_loops=max_loops))
+    assert len(log.rows) == max_loops + 1
+    err = log.column("mu") - oracles.LSHAPE_LAMBDA_REF
+    return log.column("vertices"), err, log.column("eta")
+
+
+def loglog_slope(x, y) -> float:
+    """Least-squares slope of log y against log x."""
+    return float(np.polyfit(np.log(x), np.log(y), 1)[0])
+
+
+class TestLshapeRate:
+    """The paper's claim that the adaptive mu_k converge to lambda_1 at the
+    optimal rate N^-1 of P1 elements (N vertices), with the estimator eta
+    tied to the error, on the L-shape, whose reentrant corner keeps uniform
+    refinement from that rate."""
+
+    def test_adaptive_rate_is_optimal(self):
+        vertices, err, eta = lshape_p2_errors(theta=0.8, max_loops=12)
+        assert vertices[-1] > 5000  # 65 -> 5,918 vertices
+        assert np.all(err > 0.0)  # mu bounds lambda_1 from above
+        assert loglog_slope(vertices[-8:], err[-8:]) <= -0.9
+        ratio = err / eta ** 2
+        assert np.all((0.03 <= ratio) & (ratio <= 0.05))
+
+    def test_uniform_refinement_is_slower(self):
+        # theta = 1 marks every element: the rate tends to N^-2/3
+        vertices, err, _ = lshape_p2_errors(theta=1.0, max_loops=8)
+        assert vertices[-1] > 12000  # 65 -> 12,545 vertices
+        assert loglog_slope(vertices[-4:], err[-4:]) >= -0.85

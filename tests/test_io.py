@@ -5,8 +5,8 @@ from plapeig import io
 from plapeig.driver import ConvergenceLog, LogRow
 from plapeig.fem import P1Function
 from plapeig.io import MeshFormatError, load_mesh, save_mesh, write_vtk
-from plapeig.mesh import Mesh, edge_table, generate_disk, \
-    generate_unit_square, refine, refine_uniform
+from plapeig.mesh import Mesh, MeshConformityError, check_conforming, \
+    generate_disk, generate_unit_square, refine, refine_uniform
 
 import oracles
 
@@ -28,7 +28,7 @@ class TestMeshRoundTrip:
         save_mesh(m, path)
         back = load_mesh(path)
         assert np.array_equal(back.vertices, m.vertices)
-        edge_table(back)  # still conforming
+        check_conforming(back)
 
     def test_truncated_file(self, tmp_path):
         m = generate_unit_square(2)
@@ -39,6 +39,14 @@ class TestMeshRoundTrip:
         with pytest.raises(MeshFormatError) as err:
             load_mesh(str(path))
         assert err.value.line == 6
+
+    @pytest.mark.parametrize("kind", sorted(oracles.NONCONFORMING))
+    def test_nonconforming_file_rejected(self, kind, tmp_path):
+        vertices, triangles, message = oracles.NONCONFORMING[kind]
+        path = str(tmp_path / "bad.txt")
+        save_mesh(Mesh(vertices=vertices, triangles=triangles), path)
+        with pytest.raises(MeshConformityError, match=message):
+            load_mesh(path)
 
     def test_negative_vertex_index(self, tmp_path):
         path = tmp_path / "bad.txt"

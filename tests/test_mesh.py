@@ -1,11 +1,23 @@
 import numpy as np
 import pytest
 
-from plapeig.mesh import (Mesh, MeshConformityError, _stable_sort, edge_table,
-                          generate_disk, generate_lshape, generate_unit_square,
+from plapeig.mesh import (Mesh, MeshConformityError, _stable_sort,
+                          check_conforming, edge_table, generate_disk,
+                          generate_lshape, generate_unit_square,
                           prolong_vertex_values, refine, refine_uniform)
 
 import oracles
+
+
+def interior_edge_ends(mesh, et):
+    """The (tail, head) vertices of each interior edge as its plus triangle
+    runs it, from the oracle, once the four arrays of `et` match the
+    oracle's bit for bit."""
+    ends, *want = oracles.interior_edges_two_sorts(mesh)
+    got = (et.int_tri_plus, et.int_tri_minus, et.int_normals, et.int_lengths)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+    return ends
 
 
 def euler_characteristic(mesh):
@@ -72,7 +84,7 @@ class TestGenerators:
                                          (generate_lshape, 2),
                                          (generate_disk, 3)])
     def test_generators_conforming(self, gen, arg):
-        edge_table(gen(arg))  # raises if not conforming
+        check_conforming(gen(arg))
 
 
 class TestRefine:
@@ -80,7 +92,7 @@ class TestRefine:
         m = generate_unit_square(1)
         r = refine(m, [0])
         assert (r.num_vertices, r.num_triangles) == (5, 4)
-        edge_table(r)
+        check_conforming(r)
 
     def test_mark_all_square2(self):
         m = generate_unit_square(2)
@@ -96,7 +108,7 @@ class TestRefine:
                                 size=rng.integers(1, 4), replace=False)
             m = refine(m, marked)
             assert abs(m.areas.sum() - 3.0) / 3.0 < 1e-12
-        edge_table(m)
+        check_conforming(m)
 
     def test_min_angle_stabilizes_square(self):
         m = generate_unit_square(1)
@@ -158,7 +170,7 @@ class TestRefine:
         rng = np.random.default_rng(11)
         for _ in range(25):
             m = refine(m, [int(rng.integers(m.num_triangles))])
-        edge_table(m)
+        check_conforming(m)
         assert np.all(m.areas > 0)
 
     def test_disk_refine_projects_new_boundary(self):
@@ -183,18 +195,19 @@ class TestEdgeTable:
     def test_normals_unit_and_orthogonal(self):
         m = generate_disk(3)
         et = edge_table(m)
+        ends = interior_edge_ends(m, et)
         norms = np.linalg.norm(et.int_normals, axis=1)
         assert np.max(np.abs(norms - 1.0)) < 1e-12
-        evec = m.vertices[et.int_vertices[:, 1]] - m.vertices[et.int_vertices[:, 0]]
+        evec = m.vertices[ends[:, 1]] - m.vertices[ends[:, 0]]
         dots = np.einsum("ed,ed->e", et.int_normals, evec)
         assert np.max(np.abs(dots)) < 1e-12
 
     def test_normal_points_from_plus_to_minus(self):
         m = generate_unit_square(3)
         et = edge_table(m)
+        ends = interior_edge_ends(m, et)
         centroids = m.vertices[m.triangles].mean(axis=1)
-        mid = 0.5 * (m.vertices[et.int_vertices[:, 0]]
-                     + m.vertices[et.int_vertices[:, 1]])
+        mid = 0.5 * (m.vertices[ends[:, 0]] + m.vertices[ends[:, 1]])
         toward_minus = centroids[et.int_tri_minus] - mid
         dots = np.einsum("ed,ed->e", et.int_normals, toward_minus)
         assert np.all(dots > 0)
@@ -202,12 +215,15 @@ class TestEdgeTable:
     def test_hanging_node_detected(self):
         # unit square: one big triangle below the diagonal, two small ones
         # above it sharing the diagonal midpoint -> hanging node
-        vertices = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0],
-                             [0.5, 0.5]])
-        triangles = np.array([[1, 2, 0], [4, 3, 0], [2, 3, 4]])
-        mesh = Mesh(vertices=vertices, triangles=triangles)
-        with pytest.raises(MeshConformityError):
-            edge_table(mesh)
+        vertices, triangles, message = oracles.NONCONFORMING["hanging_node"]
+        with pytest.raises(MeshConformityError, match=message):
+            check_conforming(Mesh(vertices=vertices, triangles=triangles))
+
+    @pytest.mark.parametrize("kind", ["same_direction", "pinched_vertex"])
+    def test_other_defects_detected(self, kind):
+        vertices, triangles, message = oracles.NONCONFORMING[kind]
+        with pytest.raises(MeshConformityError, match=message):
+            check_conforming(Mesh(vertices=vertices, triangles=triangles))
 
     @pytest.mark.parametrize("mesh", [
         refine(refine_uniform(generate_unit_square(3), 1), [0, 7, 20]),
@@ -223,9 +239,10 @@ class TestEdgeTable:
         assert np.array_equal(order, np.argsort(edge_id.ravel(),
                                                 kind="stable"))
         et = edge_table(mesh)
-        got = (et.int_vertices, et.int_tri_plus, et.int_tri_minus,
-               et.int_normals, et.int_lengths)
-        for g, want in zip(got, oracles.interior_edges_two_sorts(mesh)):
+        got = (et.int_tri_plus, et.int_tri_minus, et.int_normals,
+               et.int_lengths)
+        for g, want in zip(got, oracles.interior_edges_two_sorts(mesh)[1:]):
+            assert g.dtype == want.dtype
             assert np.array_equal(g, want)
 
     def test_stable_sort_either_way(self, rng):
@@ -239,12 +256,9 @@ class TestEdgeTable:
             assert np.array_equal(ordered, x[want])
 
     def test_overshared_edge_detected(self):
-        vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, -1.0],
-                             [-1.0, 0.5]])
-        triangles = np.array([[2, 0, 1], [0, 1, 3], [4, 0, 1]])
-        mesh = Mesh(vertices=vertices, triangles=triangles)
-        with pytest.raises(MeshConformityError):
-            edge_table(mesh)
+        vertices, triangles, message = oracles.NONCONFORMING["overshared_edge"]
+        with pytest.raises(MeshConformityError, match=message):
+            check_conforming(Mesh(vertices=vertices, triangles=triangles))
 
 
 class TestSizesAndProlongation:

@@ -60,3 +60,23 @@ def test_benchmark_hooks_resolve():
     for module, attr in spans.IMPORTED_BINDINGS:
         assert getattr(importlib.import_module(module), attr) in targets, \
             f"{module}.{attr}"
+
+
+def test_every_export_has_a_reader_in_the_package():
+    """Each public name is read by some module of the package other than
+    `__init__.py`, as a bare name or as an attribute: an export that only
+    tests read belongs in tests/oracles.py.  Methods and fields of the
+    exported classes are out of its reach."""
+    package = Path(plapeig.__file__).resolve().parent
+    loaded = set()
+    for path in package.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif (isinstance(node, ast.Attribute)
+                  and isinstance(node.ctx, ast.Load)):
+                loaded.add(node.attr)
+    unread = set(plapeig.__all__) - {"__version__"} - loaded
+    assert not unread, f"exported but read by no package module: {unread}"
