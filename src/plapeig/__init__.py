@@ -14,8 +14,8 @@ from .mesh import (Mesh, EdgeTable, MeshConformityError, check_conforming,
                    generate_unit_square, prolong_vertex_values, refine,
                    refine_uniform)
 from .fem import (DEGREE5, DirichletFactor, P1Function, QuadRule, SolverError,
-                  assemble_mass, assemble_rhs, assemble_stiffness, grad,
-                  lp_norm, p_flux, rayleigh, sup_norm, w1p_seminorm_p)
+                  assemble_rhs, grad, lp_norm, p_flux, rayleigh, sup_norm,
+                  w1p_seminorm_p)
 from .plap import (DCReport, DCWorkspace, dc_solve, nu_update, random_fields,
                    resolvent_many)
 from .eigen import EigenResult, iiss, torsion
@@ -31,9 +31,8 @@ __all__ = [
     "edge_table", "generate_disk", "generate_lshape", "generate_unit_square",
     "prolong_vertex_values", "refine", "refine_uniform",
     "DEGREE5", "DirichletFactor", "P1Function", "QuadRule", "SolverError",
-    "assemble_mass", "assemble_rhs", "assemble_stiffness", "grad", "lp_norm",
-    "p_flux",
-    "rayleigh", "sup_norm", "w1p_seminorm_p",
+    "assemble_rhs", "grad", "lp_norm", "p_flux", "rayleigh", "sup_norm",
+    "w1p_seminorm_p",
     "DCReport", "DCWorkspace", "dc_solve", "nu_update", "random_fields",
     "resolvent_many",
     "EigenResult", "iiss", "torsion",

@@ -123,67 +123,20 @@ def run_afem(config: AfemConfig) -> ConvergenceLog:
 
     When config.out_dir is set, every loop's mesh is written as mesh_<k>.vtk
     and the run finishes with eigenfunction.vtk and convergence.csv in that
-    directory (also on solver failure, with the partial log)."""
+    directory (also on solver failure, with the partial log).  Of level k,
+    only the eigenfunction's arrays outlive its `_loop`."""
     mesh = initial_mesh(config)
     result = ConvergenceLog()
-    u_warm: P1Function | None = None
-    lam_warm: float | None = None
-    fields_warm: tuple[np.ndarray, np.ndarray] | None = None
-    mu_prev: float | None = None
+    vtk_blocks = {}  # write_vtk's text reuse, for this run only
+    warm, final = {}, None
 
     k = 0
-    final_u: P1Function | None = None
     try:
         while True:
-            t0 = time.perf_counter()
-            res = eigen.iiss(
-                mesh, config.p, eps_m=config.eps_m, max_m=config.max_iiss,
-                eps_n=config.eps_n, seed=config.seed, max_dc=config.max_dc,
-                u0=u_warm, lambda0=lam_warm, fields0=fields_warm)
-            if not res.converged:
-                raise fem.SolverError(f"inverse iteration did not converge "
-                                      f"within {config.max_iiss} sweeps")
-            edges = edge_table(mesh)
-            ind = estimator.estimate_all(mesh, edges, res.mu_rayleigh,
-                                         res.u_lp, config.p)
-            final_u = res.u_sup
-
-            stop = None
-            if mu_prev is not None and (abs(mu_prev - res.mu_rayleigh)
-                                        / mu_prev < config.eps_k):
-                stop = "eps_k"
-            elif k >= config.max_loops:
-                stop = "max_loops"
-
-            marked = (np.array([], dtype=np.int64) if stop
-                      else estimator.dorfler_mark(ind, config.theta))
-            row = LogRow(
-                k=k, vertices=mesh.num_vertices, elements=mesh.num_triangles,
-                mu=res.mu_rayleigh, lambda_iiss=res.lambda_iiss,
-                eta=ind.total_eta, iiss_iters=res.iiss_iterations,
-                dc_iters=res.dc_iterations_total, marked=len(marked),
-                seconds=time.perf_counter() - t0)
-            result.rows.append(row)
-            log.info("loop %d: vertices=%d mu=%.8g eta=%.4g marked=%d",
-                     k, row.vertices, row.mu, row.eta, row.marked)
-            if config.out_dir is not None:
-                # created at the first write, so that a mesh the solver
-                # rejects leaves no directory behind
-                os.makedirs(config.out_dir, exist_ok=True)
-                io.write_vtk(mesh, None,
-                             f"{config.out_dir}/mesh_{k}.vtk")
-            if stop:
-                result.stop_reason = stop
+            final, child = _loop(config, k, mesh, warm, result, vtk_blocks)
+            if child is None:
                 break
-
-            mu_prev = res.mu_rayleigh
-            fine = refine(mesh, marked)
-            u_warm = P1Function(fine, prolong_vertex_values(
-                fine, res.u_sup.coeffs))
-            lam_warm = res.lambda_iiss
-            # piecewise constants transfer exactly to nested children
-            fields_warm = tuple(f[fine.parent] for f in res.fields)
-            mesh = fine
+            mesh, warm = child
             k += 1
     except fem.SolverError as err:
         log.error("adaptive loop aborted at level %d: %s", k, err)
@@ -194,8 +147,65 @@ def run_afem(config: AfemConfig) -> ConvergenceLog:
         result.stop_reason = f"error: {err}"
 
     if config.out_dir is not None:
-        if final_u is not None:
-            io.write_vtk(final_u.mesh, final_u,
-                         f"{config.out_dir}/eigenfunction.vtk")
+        if final is not None:
+            vertices, triangles, coeffs = final
+            grid = Mesh(vertices, triangles)
+            io.write_vtk(grid, P1Function(grid, coeffs),
+                         f"{config.out_dir}/eigenfunction.vtk", vtk_blocks)
         io.write_convergence_csv(result, f"{config.out_dir}/convergence.csv")
     return result
+
+
+def _loop(config: AfemConfig, k: int, mesh: Mesh, warm: dict,
+          result: ConvergenceLog, vtk_blocks: dict):
+    """Loop k of run_afem on mesh, from warm (iiss's u0, lambda0 and
+    fields0; empty at level 0): solve, estimate, log, write mesh_<k>.vtk,
+    and unless the run stops, mark and refine.  Returns the eigenfunction
+    as (vertices, triangles, coefficients) and None if the run stops, else
+    the refined mesh and its warm start."""
+    t0 = time.perf_counter()
+    res = eigen.iiss(mesh, config.p, eps_m=config.eps_m,
+                     max_m=config.max_iiss, eps_n=config.eps_n,
+                     seed=config.seed, max_dc=config.max_dc, **warm)
+    if not res.converged:
+        raise fem.SolverError(f"inverse iteration did not converge "
+                              f"within {config.max_iiss} sweeps")
+    ind = estimator.estimate_all(mesh, edge_table(mesh), res.mu_rayleigh,
+                                 res.u_lp, config.p)
+    final = (mesh.vertices, mesh.triangles, res.u_sup.coeffs)
+
+    stop = None
+    mu_prev = result.rows[-1].mu if result.rows else None
+    if mu_prev is not None and (abs(mu_prev - res.mu_rayleigh) / mu_prev
+                                < config.eps_k):
+        stop = "eps_k"
+    elif k >= config.max_loops:
+        stop = "max_loops"
+
+    marked = (np.array([], dtype=np.int64) if stop
+              else estimator.dorfler_mark(ind, config.theta))
+    row = LogRow(
+        k=k, vertices=mesh.num_vertices, elements=mesh.num_triangles,
+        mu=res.mu_rayleigh, lambda_iiss=res.lambda_iiss,
+        eta=ind.total_eta, iiss_iters=res.iiss_iterations,
+        dc_iters=res.dc_iterations_total, marked=len(marked),
+        seconds=time.perf_counter() - t0)
+    result.rows.append(row)
+    log.info("loop %d: vertices=%d mu=%.8g eta=%.4g marked=%d",
+             k, row.vertices, row.mu, row.eta, row.marked)
+    if config.out_dir is not None:
+        # created at the first write, so that a mesh the solver rejects
+        # leaves no directory behind
+        os.makedirs(config.out_dir, exist_ok=True)
+        io.write_vtk(mesh, None, f"{config.out_dir}/mesh_{k}.vtk",
+                     vtk_blocks)
+    if stop:
+        result.stop_reason = stop
+        return final, None
+
+    fine = refine(mesh, marked)
+    # piecewise constants transfer exactly to nested children
+    return final, (fine, dict(
+        u0=P1Function(fine, prolong_vertex_values(fine, res.u_sup.coeffs)),
+        lambda0=res.lambda_iiss,
+        fields0=tuple(f[fine.parent] for f in res.fields)))

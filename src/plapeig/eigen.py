@@ -80,6 +80,16 @@ def torsion(mesh: Mesh, p: float, eps_n: float = 1e-5,
     return u, report
 
 
+def _inverse_load(u: P1Function, p: float) -> np.ndarray:
+    """Load vector of (max(u, 0) / ||u||_inf)^{p-1}; its (nt, nq) values
+    at the quadrature points are formed in place and die on return."""
+    f = fem.p1_at_quad(u)
+    np.maximum(f, 0.0, out=f)
+    f /= fem.sup_norm(u)
+    f **= p - 1.0
+    return fem.assemble_rhs(u.mesh, f)
+
+
 def iiss(mesh: Mesh, p: float, eps_m: float = 1e-5, max_m: int = 200,
          eps_n: float = 1e-5, seed: int = DEFAULT_SEED, max_dc: int = 500,
          u0: P1Function | None = None, lambda0: float | None = None,
@@ -129,11 +139,8 @@ def iiss(mesh: Mesh, p: float, eps_m: float = 1e-5, max_m: int = 200,
     m = 0
     while m < max_m:
         m += 1
-        s = fem.sup_norm(u)
-        vals = fem.p1_at_quad(u)
-        f_vals = (np.maximum(vals, 0.0) / s) ** (p - 1.0)
-        u_new, report = plap.dc_solve(mesh, f_vals, p, eps_n=eps_n,
-                                      max_iter=max_dc,
+        u_new, report = plap.dc_solve(mesh, _inverse_load(u, p), p,
+                                      eps_n=eps_n, max_iter=max_dc,
                                       init=warm, seed=seed, workspace=ws)
         dc_total += report.iterations
         if not report.converged:
@@ -154,6 +161,7 @@ def iiss(mesh: Mesh, p: float, eps_m: float = 1e-5, max_m: int = 200,
     if min_vertex < -NEGATIVITY_TOL:
         log.warning("eigenfunction iterates undershot zero by %.3e", -min_vertex)
 
+    del ws  # the LU factor and operators: the normalization needs neither
     s = fem.sup_norm(u)
     u_sup = P1Function(mesh, u.coeffs / s)
     lpn = fem.lp_norm(u_sup, p)

@@ -10,7 +10,8 @@ fractional p approximately.
 The stiffness and mass matrices are assembled in edge form: the element
 matrices' diagonal entries are summed per vertex and their off-diagonal
 entries per edge of `Mesh.edge_numbering`, with no sort of the 9 nt
-element entries.
+element entries.  The same code builds the interior blocks of the
+Dirichlet problem directly, on one CSR pattern, without the full matrices.
 
 Piecewise-constant vector fields (gradients, fluxes, the splitting solver's
 auxiliary fields) are plain (nt, 2) arrays, one 2-vector per triangle.
@@ -96,47 +97,82 @@ def assemble_stiffness(mesh: Mesh) -> sp.csr_matrix:
     Symmetric with zero row sums (constants lie in the kernel); positive
     definite once boundary rows/columns are eliminated.
     """
-    areas = mesh.areas[:, None]  # raises on degenerate triangles
-    g = mesh.basis_gradients
-    gx, gy = g[:, :, 0], g[:, :, 1]
-    # The edge opposite local vertex j joins local vertices j+1 and j+2.
-    nxt, prv = [1, 2, 0], [2, 0, 1]
-    return _edge_form(mesh, areas * (gx * gx + gy * gy),
-                      areas * (gx[:, nxt] * gx[:, prv]
-                               + gy[:, nxt] * gy[:, prv]))
+    return _edge_form(mesh, np.ones(mesh.num_vertices, dtype=bool),
+                      _stiffness_entries)[0]
 
 
 def assemble_mass(mesh: Mesh) -> sp.csr_matrix:
     """Mass matrix M_ij = sum_T int_T phi_i phi_j, elementwise
     |T|/12 (1 + delta_ij); c^T M c is the squared L2 norm of the P1
     function with coefficients c."""
+    return _edge_form(mesh, np.ones(mesh.num_vertices, dtype=bool),
+                      _mass_entries)[0]
+
+
+def interior_blocks(mesh: Mesh) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    """Interior blocks of the stiffness and mass matrices: their rows and
+    columns of the vertices off the boundary, in ascending vertex order.
+    The two share one CSR pattern: their index arrays are the same memory.
+    """
+    return tuple(_edge_form(mesh, ~mesh.boundary_vertex, _stiffness_entries,
+                            _mass_entries))
+
+
+def _stiffness_entries(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
+    areas = mesh.areas[:, None]  # raises on degenerate triangles
+    g = mesh.basis_gradients
+    gx, gy = g[:, :, 0], g[:, :, 1]
+    # The edge opposite local vertex j joins local vertices j+1 and j+2.
+    nxt, prv = [1, 2, 0], [2, 0, 1]
+    return (areas * (gx * gx + gy * gy),
+            areas * (gx[:, nxt] * gx[:, prv] + gy[:, nxt] * gy[:, prv]))
+
+
+def _mass_entries(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
     local = np.repeat(mesh.areas / 12.0, 3).reshape(-1, 3)
-    return _edge_form(mesh, 2.0 * local, local)
+    return 2.0 * local, local
 
 
-def _edge_form(mesh: Mesh, diag: np.ndarray, off: np.ndarray) -> sp.csr_matrix:
-    """Symmetric (nv, nv) matrix summing element matrices given by their
-    diagonal, diag[t, i] at vertex triangles[t, i], and their off-diagonal
-    entries, off[t, j] on the edge opposite local vertex j (both (nt, 3)).
+def _edge_form(mesh: Mesh, keep: np.ndarray,
+               *element_entries) -> list[sp.csr_matrix]:
+    """Symmetric matrices summing element matrices, one per item of
+    element_entries, restricted to the rows and columns of the vertices
+    flagged in keep (renumbered in ascending order), on one CSR pattern.
 
-    The pattern is the diagonal plus both entries of every edge of
-    `mesh.edge_numbering`, nv + 2 ne stored entries; entries that sum to
-    zero stay stored.  The edge codes ascend, so listing the lower entries,
-    the diagonal and the upper entries in that order already puts the
-    columns of every row in ascending order, and the conversion to CSR
-    sorts and sums nothing.
+    An item maps the mesh to (diag, off), two (nt, 3) arrays: diag[t, i]
+    at vertex triangles[t, i] and off[t, j] on the edge opposite local
+    vertex j, summed per vertex and per edge of `mesh.edge_numbering`.
+
+    The pattern is the kept diagonal plus both entries of every edge with
+    two kept endpoints; entries that sum to zero stay stored.  The edge
+    codes ascend, so listing the lower entries, the diagonal and the upper
+    entries in that order already puts the columns of every row in
+    ascending order, and the conversion to CSR sorts and sums nothing.  It
+    runs once, on the entries' numbers, and leaves each where its entry
+    belongs.
     """
     nv = mesh.num_vertices
     codes, edge_id, _, _ = mesh.edge_numbering
-    d = np.bincount(mesh.triangles.ravel(), weights=diag.ravel(),
-                    minlength=nv)
-    e = np.bincount(edge_id.ravel(), weights=off.ravel(),
-                    minlength=len(codes))
     lo, hi = np.divmod(codes, nv)
-    r = np.arange(nv)
-    return sp.csr_matrix((np.concatenate((e, d, e)),
-                          (np.concatenate((hi, r, lo)),
-                           np.concatenate((lo, r, hi)))), shape=(nv, nv))
+    kept = keep[lo] & keep[hi]
+    number = np.cumsum(keep, dtype=np.int32) - 1
+    n = int(np.count_nonzero(keep))
+    a, b = number[lo[kept]], number[hi[kept]]
+    r = np.arange(n, dtype=np.int32)
+    pattern = sp.csr_matrix((np.arange(n + 2 * len(a)),
+                             (np.concatenate((b, r, a)),
+                              np.concatenate((a, r, b)))), shape=(n, n))
+    matrices = []
+    for entries in element_entries:
+        diag, off = entries(mesh)
+        e = np.bincount(edge_id.ravel(), weights=off.ravel(),
+                        minlength=len(codes))[kept]
+        d = np.bincount(mesh.triangles.ravel(), weights=diag.ravel(),
+                        minlength=nv)[keep]
+        matrices.append(sp.csr_matrix(
+            (np.concatenate((e, d, e))[pattern.data], pattern.indices,
+             pattern.indptr), shape=(n, n)))
+    return matrices
 
 
 def assemble_rhs(mesh: Mesh, f) -> np.ndarray:
@@ -190,14 +226,22 @@ class DirichletFactor:
     interior block or raises SolverError carrying the achieved residual.
     """
 
-    def __init__(self, K: sp.spmatrix, boundary: np.ndarray):
+    def __init__(self, A: sp.spmatrix, boundary: np.ndarray):
+        """A is the symmetric interior block, its rows and columns those of
+        the vertices not flagged in boundary, in ascending order (see
+        `interior_blocks`)."""
         boundary = np.asarray(boundary, dtype=bool)
-        if K.shape[0] != K.shape[1] or K.shape[0] != len(boundary):
-            raise ValueError("matrix and boundary mask sizes disagree")
         self.idx = np.nonzero(~boundary)[0]
-        self._A = K.tocsr()[self.idx][:, self.idx]
-        self.n = K.shape[0]
-        self._lu = (spla.splu(self._A.tocsc(), permc_spec="MMD_AT_PLUS_A",
+        if A.shape != (len(self.idx), len(self.idx)):
+            raise ValueError("matrix size must match the interior vertex "
+                             "count")
+        self._A = A = sp.csr_matrix(A)
+        self.n = len(boundary)
+        # A is symmetric, so its CSR arrays are those of its CSC form:
+        # SuperLU gets them without a copy.
+        self._lu = (spla.splu(sp.csc_matrix((A.data, A.indices, A.indptr),
+                                            shape=A.shape),
+                              permc_spec="MMD_AT_PLUS_A",
                               diag_pivot_thresh=0.0, relax=1, panel_size=1,
                               options=dict(SymmetricMode=True))
                     if len(self.idx) else None)
@@ -249,8 +293,9 @@ def lp_norm(u: P1Function, p: float) -> float:
     if p <= 1:
         raise ValueError("p must exceed 1")
     vals = p1_at_quad(u)
-    total = float(np.einsum("tq,q,t->", np.abs(vals) ** p, DEGREE5.weights,
-                            u.mesh.areas))
+    np.abs(vals, out=vals)
+    vals **= p
+    total = float(np.einsum("tq,q,t->", vals, DEGREE5.weights, u.mesh.areas))
     return total ** (1.0 / p)
 
 

@@ -114,24 +114,19 @@ def load_mesh(path: str) -> Mesh:
     return mesh
 
 
-# The POINTS and CELLS text of the last write_vtk call with the arrays it
-# was formatted from: (vertices, points text, triangles, cells text).  One
-# tuple, replaced whole, so that a reader always sees a consistent set.
-_last_blocks: tuple[np.ndarray, str, np.ndarray, str] | None = None
-
-
-def write_vtk(mesh: Mesh, u: P1Function | None, path: str) -> None:
+def write_vtk(mesh: Mesh, u: P1Function | None, path: str,
+              blocks: dict | None = None) -> None:
     """Write a legacy ASCII VTK unstructured grid, optionally with a vertex
     scalar field named u.
 
-    The text of the last POINTS and CELLS blocks is kept from one call to
+    blocks, a dict that the caller keeps across the writes of one run,
+    carries the text of the last POINTS and CELLS blocks from one call to
     the next.  refine appends vertices, so the POINTS block of a refined
     mesh starts with that of its parent: when the vertices extend the last
     ones, only the new rows are formatted, and when the triangles equal the
     last ones (the eigenfunction written on the final mesh), the CELLS text
     is reused.  The output is the same as formatting every row afresh.
     """
-    global _last_blocks
     nv, nt = mesh.num_vertices, mesh.num_triangles
     if u is not None and len(u.coeffs) != nv:
         raise ValueError("field size does not match the mesh")
@@ -140,8 +135,8 @@ def write_vtk(mesh: Mesh, u: P1Function | None, path: str) -> None:
     # tolist(): far faster than a format call per row, and %.17g gives the
     # digits of {:.17g} for every double (-0, nan and inf included).
     done, points, cells = 0, "", None
-    if _last_blocks is not None:
-        old_vertices, old_points, old_triangles, old_cells = _last_blocks
+    if blocks:
+        old_vertices, old_points, old_triangles, old_cells = blocks["last"]
         n = len(old_vertices)
         # Compare bit patterns: -0.0 == 0.0, but they print differently.
         if n <= nv and np.array_equal(vertices[:n].view(np.int64),
@@ -153,7 +148,8 @@ def write_vtk(mesh: Mesh, u: P1Function | None, path: str) -> None:
                % tuple(vertices[done:].ravel().tolist()))
     if cells is None:
         cells = "3 %d %d %d\n" * nt % tuple(triangles.ravel().tolist())
-    _last_blocks = (vertices, points, triangles, cells)
+    if blocks is not None:
+        blocks["last"] = (vertices, points, triangles, cells)
     parts = [
         "# vtk DataFile Version 3.0\nplapeig mesh\nASCII\n"
         f"DATASET UNSTRUCTURED_GRID\nPOINTS {nv} double\n",

@@ -204,6 +204,15 @@ def scatter_assembly(mesh, local):
                          shape=(nv, nv)).tocsr()
 
 
+def interior_blocks(mesh):
+    """(stiffness, mass) interior blocks the way the package built them
+    before it assembled them directly: the full matrices, sliced to the
+    rows and then the columns of the vertices off the boundary."""
+    idx = np.nonzero(~mesh.boundary_vertex)[0]
+    return tuple(A[idx][:, idx] for A in (fem.assemble_stiffness(mesh),
+                                          fem.assemble_mass(mesh)))
+
+
 def stiffness_local(mesh):
     """(nt, 3, 3) element stiffness matrices |T| grad(phi_i) . grad(phi_j),
     from the edge vectors: grad(phi_i) is the edge opposite vertex i turned
@@ -267,22 +276,23 @@ def interior_edges_two_sorts(mesh):
 
 
 def dc_sweep_plain(mesh, f, p: float, eps_n: float, max_iter: int,
-                   seed: int = plap.DEFAULT_SEED):
+                   seed: int = plap.DEFAULT_SEED, init=None):
     """The decomposition-coordination iteration without acceleration, on
-    full vertex vectors, from the seeded random fields; returns (vertex
-    values, sweeps) at the first sweep whose relative L2 change of u is
-    below eps_n (None for the values if max_iter is reached).
+    full vertex vectors, from the fields init = (xi, nu) or else the seeded
+    random fields; returns (vertex values, sweeps) at the first sweep whose
+    relative L2 change of u is below eps_n (None for the values if max_iter
+    is reached).  Every sweep solves.
 
     Each sweep solves K u = b_f - div(xi - nu) with the package's
     factorization, then sets w = xi + grad u, nu = nu_update(w, p),
     xi = w - nu.  The field load is scattered triangle by triangle and the
     L2 norm uses a mass matrix assembled from the element matrices."""
-    factor = fem.DirichletFactor(fem.assemble_stiffness(mesh),
+    factor = fem.DirichletFactor(interior_blocks(mesh)[0],
                                  mesh.boundary_vertex)
     mass = scatter_assembly(mesh, mass_local(mesh))
     weighted = mesh.areas[:, None, None] * mesh.basis_gradients  # (nt, 3, 2)
     b_f = fem.assemble_rhs(mesh, f)
-    xi, nu = plap.random_fields(mesh, seed)
+    xi, nu = plap.random_fields(mesh, seed) if init is None else init
     u_prev = None
     for n in range(1, max_iter + 1):
         b = b_f.copy()

@@ -1,8 +1,12 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
-from plapeig import io
+from plapeig import eigen, io
 from plapeig.driver import AfemConfig, ConvergenceLog, initial_mesh, run_afem
+from plapeig.fem import SolverError
 from plapeig.mesh import generate_unit_square
 
 import oracles
@@ -150,10 +154,85 @@ class TestRunAfem:
         assert np.isnan(log.rows[-1].mu)
         assert (out / "convergence.csv").exists()
 
+    def test_failure_at_level_one_writes_level_zero_eigenfunction(
+            self, tmp_path, monkeypatch):
+        solved = []
+        iiss = eigen.iiss
+
+        def fail_second(*args, **kwargs):
+            if solved:
+                raise SolverError("injected at level 1")
+            solved.append(iiss(*args, **kwargs))
+            return solved[-1]
+
+        monkeypatch.setattr(eigen, "iiss", fail_second)
+        out = tmp_path / "fail"
+        log = run_afem(AfemConfig(domain="lshape", resolution=3,
+                                  eps_k=1e-12, max_loops=3,
+                                  out_dir=str(out)))
+        assert log.stop_reason == "error: injected at level 1"
+        assert [r.k for r in log.rows] == [0, 1]
+        assert np.isnan(log.rows[1].mu)
+        text = (out / "eigenfunction.vtk").read_text()
+        grid = (out / "mesh_0.vtk").read_text()
+        assert text.startswith(grid)
+        head = (f"POINT_DATA {solved[0].u_sup.mesh.num_vertices}\n"
+                "SCALARS u double 1\nLOOKUP_TABLE default\n")
+        assert text[len(grid):].startswith(head)
+        values = np.array(text[len(grid) + len(head):].split(), dtype=float)
+        assert np.array_equal(values, solved[0].u_sup.coeffs)
+
     def test_column_rejects_unknown(self):
         log = ConvergenceLog()
         with pytest.raises(KeyError):
             log.column("nope")
+
+
+class TestLevelLifetimes:
+    """A level's data die at their last use: once the refined mesh and the
+    warm start exist, nothing of level k is kept but the eigenfunction's
+    arrays, and nothing of a run outlives it."""
+
+    @staticmethod
+    def watch_meshes(monkeypatch, check):
+        """Weak references to the mesh of every iiss call; check(refs) runs
+        after a collection at the start of each call, before its mesh is
+        added."""
+        refs = []
+        iiss = eigen.iiss
+
+        def watched(mesh, *args, **kwargs):
+            gc.collect()
+            check(refs)
+            refs.append((weakref.ref(mesh), weakref.ref(mesh.vertices)))
+            return iiss(mesh, *args, **kwargs)
+
+        monkeypatch.setattr(eigen, "iiss", watched)
+        return refs
+
+    def test_previous_mesh_dies_before_next_solve(self, tmp_path,
+                                                  monkeypatch):
+        def check(refs):
+            assert all(mesh() is None for mesh, _ in refs)
+
+        refs = self.watch_meshes(monkeypatch, check)
+        log = run_afem(AfemConfig(domain="lshape", resolution=3,
+                                  eps_k=1e-12, max_loops=3,
+                                  out_dir=str(tmp_path / "out")))
+        assert len(refs) == len(log.rows) == 4
+
+    def test_nothing_of_a_run_outlives_it(self, tmp_path, monkeypatch):
+        refs = self.watch_meshes(monkeypatch, lambda refs: None)
+        log = run_afem(AfemConfig(domain="lshape", resolution=3,
+                                  eps_k=1e-12, max_loops=2,
+                                  out_dir=str(tmp_path / "out")))
+        assert len(refs) == 3
+        del log
+        gc.collect()
+        # the arrays too: the VTK writer's reuse of the last grid's text
+        # lasts one run
+        assert all(mesh() is None and vertices() is None
+                   for mesh, vertices in refs)
 
 
 def lshape_p2_errors(theta: float, max_loops: int):

@@ -135,8 +135,8 @@ class TestRhs:
 class TestDirichletSolve:
     @staticmethod
     def _factor(m):
-        K = fem.assemble_stiffness(m)
-        return fem.DirichletFactor(K, m.boundary_vertex)
+        return fem.DirichletFactor(fem.interior_blocks(m)[0],
+                                   m.boundary_vertex)
 
     def test_zero_rhs(self):
         m = generate_unit_square(4)
@@ -147,7 +147,7 @@ class TestDirichletSolve:
         m = generate_unit_square(2)
         K = fem.assemble_stiffness(m)
         b = fem.assemble_rhs(m, 1.0)
-        u = fem.DirichletFactor(K, m.boundary_vertex).solve(b)
+        u = self._factor(m).solve(b)
         c = int(np.nonzero(~m.boundary_vertex)[0][0])
         assert u[c] == pytest.approx(b[c] / K[c, c], rel=1e-12)
         assert np.all(u[m.boundary_vertex] == 0.0)
@@ -155,7 +155,7 @@ class TestDirichletSolve:
     def test_factorized_matches_dense(self):
         m = generate_unit_square(6)
         K = fem.assemble_stiffness(m)
-        fac = fem.DirichletFactor(K, m.boundary_vertex)
+        fac = self._factor(m)
         b = fem.assemble_rhs(m, 1.0)
         u = fac.solve(b)
         u_dense = oracles.solve_dirichlet_dense(K, b, m.boundary_vertex)
@@ -168,7 +168,7 @@ class TestDirichletSolve:
         m = corner_graded_lshape()
         assert m.num_vertices > 2 * generate_lshape(4).num_vertices
         K = fem.assemble_stiffness(m)
-        fac = fem.DirichletFactor(K, m.boundary_vertex)
+        fac = self._factor(m)
         for b in (fem.assemble_rhs(m, 1.0),
                   rng.standard_normal(m.num_vertices)):
             u = fac.solve(b)
@@ -180,11 +180,16 @@ class TestDirichletSolve:
         m = generate_unit_square(10)
         K = fem.assemble_stiffness(m)
         b = fem.assemble_rhs(m, 1.0)
-        u = fem.DirichletFactor(K, m.boundary_vertex).solve(b)
+        u = self._factor(m).solve(b)
         idx = ~m.boundary_vertex
         A = K.tocsr()[np.nonzero(idx)[0]][:, np.nonzero(idx)[0]]
         res = np.linalg.norm(A @ u[idx] - b[idx]) / np.linalg.norm(b[idx])
         assert res <= 1e-10
+
+    def test_full_matrix_rejected(self):
+        m = generate_unit_square(3)
+        with pytest.raises(ValueError, match="interior vertex count"):
+            fem.DirichletFactor(fem.assemble_stiffness(m), m.boundary_vertex)
 
     def test_torsion_center_value_fourier(self):
         # -lap u = 1 on the unit square against the series oracle, at a

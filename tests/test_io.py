@@ -211,13 +211,15 @@ class TestVtk:
         other = Mesh(0.5 * fine.vertices, fine.triangles[:, [1, 2, 0]])
         signed_zeros = Mesh(np.where(fine.vertices == 0.0, -0.0,
                                      fine.vertices), fine.triangles)
+        blocks = {}
         for i, (mesh, f) in enumerate([(coarse, None), (fine, None),
                                        (fine, u), (other, None),
                                        (signed_zeros, None), (fine, None),
                                        (coarse, None)]):
             path = tmp_path / f"m{i}.vtk"
-            write_vtk(mesh, f, str(path))
+            write_vtk(mesh, f, str(path), blocks)
             assert path.read_text() == row_by_row_vtk(mesh, f)
+            assert blocks["last"][0] is mesh.vertices
 
     def test_field_size_checked(self, tmp_path):
         m = generate_unit_square(1)

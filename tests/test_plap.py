@@ -3,7 +3,8 @@ import pytest
 
 from plapeig import fem, plap
 from plapeig.fem import SolverError
-from plapeig.mesh import generate_disk, generate_unit_square, refine
+from plapeig.mesh import generate_disk, generate_lshape, \
+    generate_unit_square, refine
 
 import oracles
 
@@ -191,6 +192,38 @@ class TestDCSolve:
         assert rep.iterations == n_ref == 3
         assert np.array_equal(u.coeffs, u_ref)
 
+    def test_p2_warm_start_solves_once(self, monkeypatch):
+        # at p = 2, xi - nu vanishes after a sweep, so a solve started from
+        # the fields of an earlier one meets the same load in its first two
+        # sweeps: the second reuses the first one's solution, and the
+        # result is that of the plain sweep, which solves both
+        m = generate_unit_square(7)
+        ws = plap.DCWorkspace(m)
+        _, first = plap.dc_solve(m, 1.0, 2.0, workspace=ws)
+        init = (first.xi, first.nu)
+        solves = []
+        solve = ws.factor.solve_interior
+        monkeypatch.setattr(ws.factor, "solve_interior",
+                            lambda b: solves.append(b) or solve(b))
+        u, rep = plap.dc_solve(m, 1.0, 2.0, init=init, workspace=ws)
+        assert len(solves) == 1
+        u_ref, n_ref = oracles.dc_sweep_plain(m, 1.0, 2.0, 1e-5, 500,
+                                              init=init)
+        assert rep.converged and rep.iterations == n_ref == 2
+        assert rep.rel_change == 0.0
+        assert np.array_equal(u.coeffs, u_ref)
+        # sweep 1 gives w = xi0 + grad u, sweep 2 (the reuse) xi(w) + grad u
+        gu = fem.grad(u)
+        w = init[0] + gu
+        w = w - plap.nu_update(w, 2.0) + gu
+        nu = plap.nu_update(w, 2.0)
+        xi = w - nu
+        scale = np.abs(xi).max()
+        assert np.max(np.abs(rep.xi - xi)) <= 1e-14 * scale
+        assert np.max(np.abs(rep.nu - nu)) <= 1e-14 * scale
+        consistency = np.sqrt(m.areas @ ((xi - gu) ** 2).sum(axis=1))
+        assert rep.consistency == pytest.approx(consistency, rel=1e-12)
+
     def test_singular_history_takes_plain_step(self, rng):
         accel = plap._Anderson(rng.uniform(0.5, 1.0, size=20))
         g = rng.standard_normal((4, 20, 2))
@@ -240,6 +273,8 @@ class TestDCSolve:
         with pytest.raises(ValueError):
             plap.dc_solve(m, 1.0, 2.0, init=(np.zeros((2, 2)),
                                              np.zeros((2, 2))))
+        with pytest.raises(ValueError, match="one entry per vertex"):
+            plap.dc_solve(m, np.ones((m.num_triangles, 7)), 2.0)
 
     def test_workspace_reuse_matches(self):
         m = generate_unit_square(5)
@@ -295,6 +330,35 @@ class TestDCWorkspace:
         ref = fem.grad(fem.P1Function(mesh, coeffs))
         got = (ws.grad @ coeffs[ws.factor.idx]).reshape(2, -1).T
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("mesh", [
+        generate_unit_square(6),
+        refine(generate_lshape(3), [0, 7, 30]),
+        refine(generate_disk(3), [0, 5, 17]),
+    ], ids=["square", "lshape", "disk"])
+    def test_blocks_match_sliced_full_matrices(self, mesh, monkeypatch):
+        # the interior blocks, assembled directly, are bit for bit the
+        # slices of the full matrices, and SuperLU gets the stiffness
+        # block's CSR arrays as the arrays of its CSC form
+        handed = []
+        splu = fem.spla.splu
+        monkeypatch.setattr(fem.spla, "splu",
+                            lambda A, **kw: handed.append(A) or splu(A, **kw))
+        ws = plap.DCWorkspace(mesh)
+        stiffness, mass = oracles.interior_blocks(mesh)
+        (lu_input,) = handed
+        for got, ref in ((ws.factor._A, stiffness), (ws.mass, mass),
+                         (lu_input, stiffness.tocsc())):
+            assert got.format == ref.format
+            assert np.array_equal(got.data.view(np.int64),
+                                  ref.data.view(np.int64))
+            assert np.array_equal(got.indices, ref.indices)
+            assert np.array_equal(got.indptr, ref.indptr)
+        # one pattern for both blocks, and no copy for SuperLU
+        assert np.shares_memory(ws.mass.indices, ws.factor._A.indices)
+        for name in ("data", "indices", "indptr"):
+            assert np.shares_memory(getattr(lu_input, name),
+                                    getattr(ws.factor._A, name))
 
     def test_no_interior_vertices_rejected(self):
         with pytest.raises(ValueError, match="no interior vertices"):
