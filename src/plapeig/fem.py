@@ -3,9 +3,10 @@
 Covers the quadrature rule on the reference triangle, stiffness and load
 assembly, the factorized homogeneous-Dirichlet solve, elementwise gradients,
 and the p-dependent norms building the Rayleigh quotient.  Every element
-integral uses the degree-5 symmetric rule DEGREE5: everything polynomial of
-degree at most 5 is integrated exactly, and integrands like |u|^p with
-fractional p approximately.
+integral uses the degree-5 symmetric rule DEGREE5, exact for polynomials of
+degree at most 5.  The one integrand that is no such polynomial in general,
+|u|^p, is integrated by `element_lp` alone, the one approximate integral:
+the L^p norm, the Rayleigh quotient and the estimator's element term read it.
 
 The stiffness and mass matrices are assembled in edge form: the element
 matrices' diagonal entries are summed per vertex and their off-diagonal
@@ -288,15 +289,19 @@ def p_flux(field: np.ndarray, p: float) -> np.ndarray:
     return fac[..., None] * w
 
 
-def lp_norm(u: P1Function, p: float) -> float:
-    """L^p norm of u by elementwise quadrature."""
+def element_lp(u: P1Function, p: float) -> np.ndarray:
+    """int_T |u|^p for every triangle, (nt,), by the degree-5 rule."""
     if p <= 1:
         raise ValueError("p must exceed 1")
     vals = p1_at_quad(u)
     np.abs(vals, out=vals)
     vals **= p
-    total = float(np.einsum("tq,q,t->", vals, DEGREE5.weights, u.mesh.areas))
-    return total ** (1.0 / p)
+    return u.mesh.areas * (vals @ DEGREE5.weights)
+
+
+def lp_norm(u: P1Function, p: float) -> float:
+    """L^p norm of u by elementwise quadrature."""
+    return float(element_lp(u, p).sum()) ** (1.0 / p)
 
 
 def sup_norm(u: P1Function) -> float:
@@ -314,7 +319,7 @@ def w1p_seminorm_p(u: P1Function, p: float) -> float:
 
 def rayleigh(u: P1Function, p: float) -> float:
     """Rayleigh quotient int |grad u|^p / int |u|^p."""
-    denom = lp_norm(u, p)
+    denom = float(element_lp(u, p).sum())
     if denom == 0.0:
         raise ValueError("Rayleigh quotient undefined for the zero function")
-    return w1p_seminorm_p(u, p) / denom ** p
+    return w1p_seminorm_p(u, p) / denom

@@ -47,8 +47,9 @@ def load_mesh(path: str) -> Mesh:
     """Read a mesh written by save_mesh.
 
     Raises MeshFormatError with the offending line number on malformed
-    input, on a non-finite coordinate, on a vertex that no triangle uses
-    and on a b flag that disagrees with the topology; MeshConformityError
+    input, on a non-blank line after the last triangle, on a non-finite
+    coordinate, on a vertex that no triangle uses and on a b flag that
+    disagrees with the topology; MeshConformityError
     from `check_conforming`, the one conformity check of a run, on a
     clockwise or degenerate triangle or a non-conforming mesh."""
     with open(path, "r", encoding="ascii") as fp:
@@ -100,6 +101,9 @@ def load_mesh(path: str) -> Mesh:
             raise MeshFormatError(f"vertex index out of range [0, {nv})",
                                   lineno)
         triangles[i] = idx
+    for lineno in range(2 + nv + nt, len(raw) + 1):
+        if raw[lineno - 1].strip():
+            raise MeshFormatError("content after the last triangle", lineno)
 
     unused = np.nonzero(np.bincount(triangles.ravel(), minlength=nv) == 0)[0]
     if unused.size:

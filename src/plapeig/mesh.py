@@ -81,15 +81,16 @@ class Mesh:
     @cached_property
     def areas(self) -> np.ndarray:
         """Area per triangle; raises MeshConformityError unless every
-        triangle is counterclockwise with positive area."""
+        triangle is counterclockwise with finite positive area."""
         p0 = self.vertices[self.triangles[:, 0]]
         p1 = self.vertices[self.triangles[:, 1]]
         p2 = self.vertices[self.triangles[:, 2]]
         e1 = p1 - p0
         e2 = p2 - p0
         a = 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
-        if np.any(a <= 0.0):
-            raise MeshConformityError("triangle with non-positive signed area")
+        if not np.all((a > 0.0) & (a < np.inf)):  # NaN fails both
+            raise MeshConformityError("triangle with non-finite or "
+                                      "non-positive signed area")
         a.setflags(write=False)
         return a
 
@@ -228,9 +229,8 @@ def edge_table(mesh: Mesh) -> EdgeTable:
     _, _, counts, order = mesh.edge_numbering
     first = (np.cumsum(counts) - counts)[counts == 2]
     t_plus, j_plus = np.divmod(order[first], 3)
-    a, b = _edge_arrays(mesh.triangles)
-    evec = (mesh.vertices[b[t_plus, j_plus]]
-            - mesh.vertices[a[t_plus, j_plus]])
+    tail, head = (mesh.triangles[t_plus, (j_plus + k) % 3] for k in (1, 2))
+    evec = mesh.vertices[head] - mesh.vertices[tail]
     lengths = np.linalg.norm(evec, axis=1)
     # Outward normal of the plus triangle: edge vector rotated by -90 degrees.
     normals = np.column_stack((evec[:, 1], -evec[:, 0])) / lengths[:, None]

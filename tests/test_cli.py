@@ -37,6 +37,8 @@ def write_bad_mesh_file(kind: str, path: Path) -> None:
     elif kind == "orphan_vertex":
         lines[0] = f"{nv + 1} {nt}"
         lines.insert(1 + nv, "0.5 0.5 0")
+    elif kind == "trailing_content":
+        lines += ["garbage here", "1 2 3"]
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -134,6 +136,7 @@ class TestMain:
 
     @pytest.mark.parametrize("kind", ["clockwise", "wrong_flag",
                                       "orphan_vertex", "no_interior",
+                                      "trailing_content",
                                       *sorted(oracles.NONCONFORMING)])
     def test_bad_mesh_file_is_usage_error(self, kind, tmp_path, capsys):
         path = tmp_path / "bad.txt"

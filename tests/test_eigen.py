@@ -3,8 +3,9 @@ import pytest
 
 from plapeig import eigen, fem
 from plapeig.fem import P1Function, SolverError
-from plapeig.mesh import (generate_disk, generate_unit_square,
-                          prolong_vertex_values, refine_uniform)
+from plapeig.mesh import (Mesh, MeshConformityError, generate_disk,
+                          generate_unit_square, prolong_vertex_values,
+                          refine_uniform)
 
 import oracles
 
@@ -153,6 +154,13 @@ class TestIISS:
             eigen.iiss(m, 2.0, max_m=0)
         with pytest.raises(ValueError):
             eigen.iiss(generate_unit_square(1), 2.0)  # no interior vertex
+
+    def test_non_finite_vertex_is_a_mesh_error(self):
+        m = generate_unit_square(4)
+        vertices = m.vertices.copy()
+        vertices[12] = (np.nan, 0.5)
+        with pytest.raises(MeshConformityError):
+            eigen.iiss(Mesh(vertices=vertices, triangles=m.triangles), 2.0)
 
     def test_u0_must_live_on_mesh(self):
         m1 = generate_unit_square(4)

@@ -133,8 +133,9 @@ class TestElementIndicator:
     def test_validation(self, ref_triangle):
         et = edge_table(ref_triangle)
         u = p1(ref_triangle, [0.0, 1.0, 0.0])
-        with pytest.raises(ValueError):
-            estimate_all(ref_triangle, et, 1.0, u, 1.0)
+        for p in (1.0, 0.5):
+            with pytest.raises(ValueError, match="p must exceed 1"):
+                estimate_all(ref_triangle, et, 1.0, u, p)
 
 
 def make_indicator(values, q=2.0):

@@ -246,9 +246,10 @@ class TestGradAndNorms:
                                                     rel=1e-14)
 
     @staticmethod
-    def _oracle_lp(m, u, p):
-        total = 0.0
-        for tri in m.triangles:
+    def _oracle_element_lp(m, u, p):
+        """int_T |u|^p per triangle by the 8 x 8 Duffy rule (degree 14)."""
+        out = np.empty(m.num_triangles)
+        for t, tri in enumerate(m.triangles):
             v = m.vertices[tri]
             c = u.coeffs[tri]
 
@@ -262,8 +263,31 @@ class TestGradAndNorms:
                 vals = c[0] * (1 - lam1 - lam2) + c[1] * lam1 + c[2] * lam2
                 return np.abs(vals) ** p
 
-            total += oracles.integrate_triangle(f, v[0], v[1], v[2], m=8)
-        return total ** (1.0 / p)
+            out[t] = oracles.integrate_triangle(f, v[0], v[1], v[2], m=8)
+        return out
+
+    def _oracle_lp(self, m, u, p):
+        return self._oracle_element_lp(m, u, p).sum() ** (1.0 / p)
+
+    @pytest.mark.parametrize("p", [2.0, 4.0])
+    def test_element_lp_vs_duffy_oracle(self, p, rng):
+        # |u|^p is a polynomial of degree p <= 4 here: the degree-5 rule is
+        # exact, so only round-off separates the two rules on each element
+        m = refine(generate_unit_square(3), [0, 5, 11])
+        for _ in range(3):
+            u = p1(m, rng.uniform(0.5, 2.0, m.num_vertices))
+            got = fem.element_lp(u, p)
+            assert got.shape == (m.num_triangles,)
+            np.testing.assert_allclose(
+                got, self._oracle_element_lp(m, u, p), rtol=1e-13)
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.7])
+    def test_element_lp_sums_to_lp_norm_and_rayleigh(self, p, rng):
+        m = generate_lshape(3)
+        u = p1(m, rng.standard_normal(m.num_vertices))
+        total = fem.element_lp(u, p).sum()
+        assert total == pytest.approx(fem.lp_norm(u, p) ** p, rel=1e-14)
+        assert fem.rayleigh(u, p) == fem.w1p_seminorm_p(u, p) / total
 
     @pytest.mark.parametrize("p", [1.1, 1.5, 3.0, 4.7])
     def test_lp_norm_vs_degree10_oracle(self, p, rng):
@@ -316,8 +340,10 @@ class TestGradAndNorms:
 
     def test_parameter_validation(self, ref_triangle):
         u = p1(ref_triangle, [1.0, 0.0, 0.0])
-        with pytest.raises(ValueError):
-            fem.lp_norm(u, 1.0)
+        for p in (1.0, 0.5):
+            for fn in (fem.element_lp, fem.lp_norm, fem.rayleigh):
+                with pytest.raises(ValueError, match="p must exceed 1"):
+                    fn(u, p)
         with pytest.raises(ValueError):
             fem.w1p_seminorm_p(u, 0.5)
         zero = p1(ref_triangle, [0.0, 0.0, 0.0])

@@ -48,6 +48,15 @@ class TestMeshRoundTrip:
         with pytest.raises(MeshConformityError, match=message):
             load_mesh(path)
 
+    def test_trailing_blank_lines_allowed(self, tmp_path):
+        path = tmp_path / "m.txt"
+        m = generate_unit_square(2)
+        save_mesh(m, str(path))
+        path.write_text(path.read_text() + "\n  \n\t\n")
+        back = load_mesh(str(path))
+        assert np.array_equal(back.vertices, m.vertices)
+        assert np.array_equal(back.triangles, m.triangles)
+
     def test_negative_vertex_index(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("3 1\n0 0 1\n1 0 1\n0 1 1\n0 1 -1\n")
@@ -68,6 +77,8 @@ class TestMeshRoundTrip:
         ("3 1\n0 0 1\n1 0 1\n0 inf 1\n0 1 2\n", 4),
         # a header that promises more lines than the file has
         ("1000000000000000 1\n0 0 1\n", 3),
+        # content after the last triangle that the header declares
+        ("3 1\n0 0 1\n1 0 1\n0 1 1\n0 1 2\n\ngarbage here\n1 2 3\n", 7),
     ])
     def test_malformed_lines(self, tmp_path, content, line):
         path = tmp_path / "bad.txt"

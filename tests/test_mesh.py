@@ -255,6 +255,16 @@ class TestEdgeTable:
             assert np.array_equal(order, want)
             assert np.array_equal(ordered, x[want])
 
+    @pytest.mark.parametrize("x", [np.nan, pytest.param(
+        np.inf, marks=pytest.mark.filterwarnings("ignore:invalid value"))])
+    def test_non_finite_vertex_detected(self, x):
+        m = generate_unit_square(4)
+        vertices = m.vertices.copy()
+        vertices[12] = (x, 0.5)
+        with pytest.raises(MeshConformityError,
+                           match="non-positive signed area"):
+            check_conforming(Mesh(vertices=vertices, triangles=m.triangles))
+
     def test_overshared_edge_detected(self):
         vertices, triangles, message = oracles.NONCONFORMING["overshared_edge"]
         with pytest.raises(MeshConformityError, match=message):

@@ -42,6 +42,21 @@ def test_modules_import_only_lower_layers():
                     f"{name} imports {target}, which is not below it"
 
 
+def test_only_fem_reads_the_quadrature_rule():
+    """DEGREE5 is read, as a bare name or an attribute, by `fem` alone: how
+    an element integral is taken, |u|^p in `fem.element_lp` above all, is
+    decided in one module.  `__init__.py` only re-exports the name."""
+    package = Path(plapeig.__file__).resolve().parent
+    for path in package.glob("*.py"):
+        if path.stem == "fem":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            read = ((isinstance(node, ast.Name) and node.id == "DEGREE5")
+                    or (isinstance(node, ast.Attribute)
+                        and node.attr == "DEGREE5"))
+            assert not read, f"{path.stem} reads DEGREE5"
+
+
 def test_benchmark_hooks_resolve():
     # The benchmark's tracer patches these names from outside the package;
     # a rename here would otherwise only show when the benchmark runs.
