@@ -102,14 +102,6 @@ def assemble_stiffness(mesh: Mesh) -> sp.csr_matrix:
                       _stiffness_entries)[0]
 
 
-def assemble_mass(mesh: Mesh) -> sp.csr_matrix:
-    """Mass matrix M_ij = sum_T int_T phi_i phi_j, elementwise
-    |T|/12 (1 + delta_ij); c^T M c is the squared L2 norm of the P1
-    function with coefficients c."""
-    return _edge_form(mesh, np.ones(mesh.num_vertices, dtype=bool),
-                      _mass_entries)[0]
-
-
 def interior_blocks(mesh: Mesh) -> tuple[sp.csr_matrix, sp.csr_matrix]:
     """Interior blocks of the stiffness and mass matrices: their rows and
     columns of the vertices off the boundary, in ascending vertex order.
@@ -207,10 +199,14 @@ class DirichletFactor:
 
     Solves K u = b on interior vertices with u = 0 on boundary vertices:
     one factorization per mesh, then one cheap triangular solve per
-    right-hand side.  The interior block is symmetric positive definite, so
-    SuperLU runs in symmetric mode: a minimum-degree ordering of A^T + A
-    and pivots taken from the diagonal, which keeps the fill of L + U well
-    below that of the default column ordering.
+    right-hand side.  `solve` is the one solve path: its load and solution
+    live on the interior vertices, in the order of idx, so a caller holding
+    vertex values gathers and scatters them itself.
+
+    The interior block is symmetric positive definite, so SuperLU runs in
+    symmetric mode: a minimum-degree ordering of A^T + A and pivots taken
+    from the diagonal, which keeps the fill of L + U well below that of the
+    default column ordering.
 
     Relaxed supernodes are off (relax=1) and panels are one column wide
     (panel_size=1): refinement appends vertex numbers, and on such graded
@@ -237,7 +233,6 @@ class DirichletFactor:
             raise ValueError("matrix size must match the interior vertex "
                              "count")
         self._A = A = sp.csr_matrix(A)
-        self.n = len(boundary)
         # A is symmetric, so its CSR arrays are those of its CSC form:
         # SuperLU gets them without a copy.
         self._lu = (spla.splu(sp.csc_matrix((A.data, A.indices, A.indptr),
@@ -248,16 +243,12 @@ class DirichletFactor:
                     if len(self.idx) else None)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        """Solution on all vertices for a load b on all vertices."""
-        u = np.zeros(self.n)
-        u[self.idx] = self.solve_interior(np.asarray(b, dtype=np.float64)
-                                          [self.idx])
-        return u
-
-    def solve_interior(self, b: np.ndarray) -> np.ndarray:
-        """Solution on the interior vertices (in the order of idx) for a load
-        b given on the interior vertices; a mesh without interior vertices
-        has an empty, hence zero, load."""
+        """Solution on the interior vertices, in the order of idx, for a
+        load b on the interior vertices in the same order; a mesh without
+        interior vertices has an empty, hence zero, load."""
+        if len(b) != len(self.idx):
+            raise ValueError("load length must match the interior vertex "
+                             "count")
         bnorm = np.linalg.norm(b)
         if bnorm == 0.0:
             return np.zeros(len(self.idx))
@@ -291,8 +282,8 @@ def p_flux(field: np.ndarray, p: float) -> np.ndarray:
 
 def element_lp(u: P1Function, p: float) -> np.ndarray:
     """int_T |u|^p for every triangle, (nt,), by the degree-5 rule."""
-    if p <= 1:
-        raise ValueError("p must exceed 1")
+    if not 1 < p < np.inf:
+        raise ValueError("p must exceed 1 and be finite")
     vals = p1_at_quad(u)
     np.abs(vals, out=vals)
     vals **= p
@@ -311,8 +302,8 @@ def sup_norm(u: P1Function) -> float:
 
 def w1p_seminorm_p(u: P1Function, p: float) -> float:
     """The p-th power of the W^{1,p} seminorm: sum_T |T| |grad u|_T|^p (exact)."""
-    if p <= 1:
-        raise ValueError("p must exceed 1")
+    if not 1 < p < np.inf:
+        raise ValueError("p must exceed 1 and be finite")
     gn = np.linalg.norm(grad(u), axis=1)
     return float(np.dot(u.mesh.areas, gn ** p))
 

@@ -87,7 +87,8 @@ class Mesh:
         p2 = self.vertices[self.triangles[:, 2]]
         e1 = p1 - p0
         e2 = p2 - p0
-        a = 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
+        with np.errstate(invalid="ignore"):  # inf * 0 gives NaN, rejected
+            a = 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
         if not np.all((a > 0.0) & (a < np.inf)):  # NaN fails both
             raise MeshConformityError("triangle with non-finite or "
                                       "non-positive signed area")

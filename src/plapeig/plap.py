@@ -56,8 +56,8 @@ def resolvent_many(s: np.ndarray, p: float) -> np.ndarray:
     quadratic t^2 + t = s at p = 3, and t^2 at p = 3/2 (substitute
     t = sqrt(r)).  Every other p runs _resolvent_newton.
     """
-    if p <= 1:
-        raise ValueError("p must exceed 1")
+    if not 1 < p < math.inf:
+        raise ValueError("p must exceed 1 and be finite")
     s = np.asarray(s, dtype=np.float64)
     if np.any(s < 0) or not np.all(np.isfinite(s)):
         raise ValueError("s must be finite and nonnegative")
@@ -165,7 +165,8 @@ class DCWorkspace:
     Trial functions vanish on the boundary, so a sweep needs only their
     interior coefficients, in the order of `factor.idx`.  The workspace
     holds three operators on them:
-    - factor: the factorized interior block of the stiffness matrix;
+    - factor: the factorized interior block of the stiffness matrix, whose
+      `solve` is the one linear solve of every sweep;
     - mass: the interior block of the mass matrix, behind the L2 norm of
       the stopping test;
     - grad: the elementwise gradient, a sparse 2 nt x n_int matrix whose
@@ -247,8 +248,8 @@ def dc_solve(mesh: Mesh, f, p: float, eps_n: float = 1e-5, max_iter: int = 500,
     the first at p = 2) reuses the last solution instead of solving.  The
     report's xi and nu are the fields of the last plain image T(w).
     """
-    if p <= 1:
-        raise ValueError("p must exceed 1")
+    if not 1 < p < math.inf:
+        raise ValueError("p must exceed 1 and be finite")
     if not 0 < eps_n < math.inf:
         raise ValueError("eps_n must be finite and positive")
     if max_iter < 1:
@@ -286,7 +287,7 @@ def dc_solve(mesh: Mesh, f, p: float, eps_n: float = 1e-5, max_iter: int = 500,
         if load is None or not np.array_equal(new_load.view(np.int64),
                                               load.view(np.int64)):
             load = new_load
-            x_new = ws.factor.solve_interior(load)
+            x_new = ws.factor.solve(load)
             gu = (ws.grad @ x_new).reshape(2, nt).T
             mx_new = ws.mass @ x_new
         tw = xi + gu

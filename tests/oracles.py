@@ -204,13 +204,22 @@ def scatter_assembly(mesh, local):
                          shape=(nv, nv)).tocsr()
 
 
+def assemble_mass(mesh):
+    """Mass matrix M_ij = sum_T int_T phi_i phi_j, elementwise
+    |T|/12 (1 + delta_ij), on all vertices, by the package's edge-form
+    assembly; c^T M c is the squared L2 norm of the P1 function with
+    coefficients c."""
+    return fem._edge_form(mesh, np.ones(mesh.num_vertices, dtype=bool),
+                          fem._mass_entries)[0]
+
+
 def interior_blocks(mesh):
     """(stiffness, mass) interior blocks the way the package built them
     before it assembled them directly: the full matrices, sliced to the
     rows and then the columns of the vertices off the boundary."""
     idx = np.nonzero(~mesh.boundary_vertex)[0]
     return tuple(A[idx][:, idx] for A in (fem.assemble_stiffness(mesh),
-                                          fem.assemble_mass(mesh)))
+                                          assemble_mass(mesh)))
 
 
 def stiffness_local(mesh):
@@ -286,7 +295,9 @@ def dc_sweep_plain(mesh, f, p: float, eps_n: float, max_iter: int,
     Each sweep solves K u = b_f - div(xi - nu) with the package's
     factorization, then sets w = xi + grad u, nu = nu_update(w, p),
     xi = w - nu.  The field load is scattered triangle by triangle and the
-    L2 norm uses a mass matrix assembled from the element matrices."""
+    L2 norm uses a mass matrix assembled from the element matrices; the
+    solve's interior load and solution are gathered from and scattered to
+    the vertex vectors here."""
     factor = fem.DirichletFactor(interior_blocks(mesh)[0],
                                  mesh.boundary_vertex)
     mass = scatter_assembly(mesh, mass_local(mesh))
@@ -298,7 +309,8 @@ def dc_sweep_plain(mesh, f, p: float, eps_n: float, max_iter: int,
         b = b_f.copy()
         np.add.at(b, mesh.triangles,
                   -np.einsum("tid,td->ti", weighted, xi - nu))
-        u = factor.solve(b)
+        u = np.zeros(mesh.num_vertices)
+        u[factor.idx] = factor.solve(b[factor.idx])
         w = xi + fem.grad(fem.P1Function(mesh, u))
         nu = plap.nu_update(w, p)
         xi = w - nu

@@ -133,7 +133,7 @@ class TestElementIndicator:
     def test_validation(self, ref_triangle):
         et = edge_table(ref_triangle)
         u = p1(ref_triangle, [0.0, 1.0, 0.0])
-        for p in (1.0, 0.5):
+        for p in (1.0, 0.5, np.nan, np.inf):
             with pytest.raises(ValueError, match="p must exceed 1"):
                 estimate_all(ref_triangle, et, 1.0, u, p)
 

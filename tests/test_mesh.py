@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -255,15 +257,18 @@ class TestEdgeTable:
             assert np.array_equal(order, want)
             assert np.array_equal(ordered, x[want])
 
-    @pytest.mark.parametrize("x", [np.nan, pytest.param(
-        np.inf, marks=pytest.mark.filterwarnings("ignore:invalid value"))])
+    @pytest.mark.parametrize("x", [np.nan, np.inf])
     def test_non_finite_vertex_detected(self, x):
         m = generate_unit_square(4)
         vertices = m.vertices.copy()
         vertices[12] = (x, 0.5)
-        with pytest.raises(MeshConformityError,
-                           match="non-positive signed area"):
-            check_conforming(Mesh(vertices=vertices, triangles=m.triangles))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(MeshConformityError,
+                               match="non-positive signed area"):
+                check_conforming(Mesh(vertices=vertices,
+                                      triangles=m.triangles))
+        assert not caught, [str(w.message) for w in caught]
 
     def test_overshared_edge_detected(self):
         vertices, triangles, message = oracles.NONCONFORMING["overshared_edge"]

@@ -57,13 +57,19 @@ def test_only_fem_reads_the_quadrature_rule():
             assert not read, f"{path.stem} reads DEGREE5"
 
 
-def test_benchmark_hooks_resolve():
-    # The benchmark's tracer patches these names from outside the package;
-    # a rename here would otherwise only show when the benchmark runs.
+def _benchmark_spans():
+    """plapbench/spans.py, loaded from its file."""
     path = Path(__file__).resolve().parents[1] / "plapbench" / "spans.py"
     spec = importlib.util.spec_from_file_location("plapbench_spans", path)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
+    return spans
+
+
+def test_benchmark_hooks_resolve():
+    # The benchmark's tracer patches these names from outside the package;
+    # a rename here would otherwise only show when the benchmark runs.
+    spans = _benchmark_spans()
     targets = set()
     for _, module, attr in spans.FUNCTIONS:
         fn = getattr(importlib.import_module(module), attr)
@@ -77,11 +83,9 @@ def test_benchmark_hooks_resolve():
             f"{module}.{attr}"
 
 
-def test_every_export_has_a_reader_in_the_package():
-    """Each public name is read by some module of the package other than
-    `__init__.py`, as a bare name or as an attribute: an export that only
-    tests read belongs in tests/oracles.py.  Methods and fields of the
-    exported classes are out of its reach."""
+def _package_reads() -> set[str]:
+    """Every name that a module of the package other than `__init__.py`
+    reads, as a bare name or as an attribute."""
     package = Path(plapeig.__file__).resolve().parent
     loaded = set()
     for path in package.glob("*.py"):
@@ -93,5 +97,35 @@ def test_every_export_has_a_reader_in_the_package():
             elif (isinstance(node, ast.Attribute)
                   and isinstance(node.ctx, ast.Load)):
                 loaded.add(node.attr)
-    unread = set(plapeig.__all__) - {"__version__"} - loaded
+    return loaded
+
+
+def test_every_export_has_a_reader_in_the_package():
+    """Each public name is read by some module of the package other than
+    `__init__.py`, as a bare name or as an attribute: an export that only
+    tests read belongs in tests/oracles.py.  Methods and fields of the
+    exported classes are out of its reach."""
+    unread = set(plapeig.__all__) - {"__version__"} - _package_reads()
     assert not unread, f"exported but read by no package module: {unread}"
+
+
+def test_every_public_definition_has_a_reader_in_the_package():
+    """Each public module-level function and class, exported or not, is
+    read by package code or is a name the benchmark's tracer patches
+    (`FUNCTIONS` and `METHODS` of plapbench/spans.py): one that only tests
+    call belongs in tests/oracles.py."""
+    spans = _benchmark_spans()
+    hooks = ({(module, attr) for _, module, attr in spans.FUNCTIONS}
+             | {(module, cls) for _, module, cls, _ in spans.METHODS})
+    loaded = _package_reads()
+    package = Path(plapeig.__file__).resolve().parent
+    unread = set()
+    for path in package.glob("*.py"):
+        module = f"plapeig.{path.stem}"
+        for node in ast.parse(path.read_text()).body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")
+                    and node.name not in loaded
+                    and (module, node.name) not in hooks):
+                unread.add(f"{path.stem}.{node.name}")
+    assert not unread, f"defined but read by no package module: {unread}"

@@ -91,8 +91,9 @@ class TestResolvent:
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
             plap.resolvent_many(np.array([-1.0]), 2.0)
-        with pytest.raises(ValueError):
-            plap.resolvent_many(np.array([1.0]), 1.0)
+        for p in (1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="p must exceed 1"):
+                plap.resolvent_many(np.array([0.5, 2.0]), p)
         with pytest.raises(ValueError):
             plap.resolvent_many(np.array([np.inf]), 2.0)
 
@@ -202,8 +203,8 @@ class TestDCSolve:
         _, first = plap.dc_solve(m, 1.0, 2.0, workspace=ws)
         init = (first.xi, first.nu)
         solves = []
-        solve = ws.factor.solve_interior
-        monkeypatch.setattr(ws.factor, "solve_interior",
+        solve = ws.factor.solve
+        monkeypatch.setattr(ws.factor, "solve",
                             lambda b: solves.append(b) or solve(b))
         u, rep = plap.dc_solve(m, 1.0, 2.0, init=init, workspace=ws)
         assert len(solves) == 1
@@ -223,6 +224,20 @@ class TestDCSolve:
         assert np.max(np.abs(rep.nu - nu)) <= 1e-14 * scale
         consistency = np.sqrt(m.areas @ ((xi - gu) ** 2).sum(axis=1))
         assert rep.consistency == pytest.approx(consistency, rel=1e-12)
+
+    def test_every_sweep_solves_through_the_factor(self, monkeypatch):
+        # away from p = 2 no load repeats, so each sweep makes one call of
+        # the class's solve, with a load on the interior vertices
+        loads = []
+        solve = fem.DirichletFactor.solve
+        monkeypatch.setattr(fem.DirichletFactor, "solve",
+                            lambda self, b: loads.append(len(b))
+                            or solve(self, b))
+        m = generate_unit_square(6)
+        _, rep = plap.dc_solve(m, 1.0, 3.0)
+        assert rep.converged and rep.iterations > 3
+        assert loads == [np.count_nonzero(~m.boundary_vertex)] * \
+            rep.iterations
 
     def test_singular_history_takes_plain_step(self, rng):
         accel = plap._Anderson(rng.uniform(0.5, 1.0, size=20))
@@ -263,8 +278,9 @@ class TestDCSolve:
 
     def test_rejects_bad_arguments(self):
         m = generate_unit_square(3)
-        with pytest.raises(ValueError):
-            plap.dc_solve(m, 1.0, 1.0)
+        for p in (1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="p must exceed 1"):
+                plap.dc_solve(m, 1.0, p)
         for eps_n in (0.0, float("nan"), float("inf")):
             with pytest.raises(ValueError, match="eps_n"):
                 plap.dc_solve(m, 1.0, 2.0, eps_n=eps_n)
