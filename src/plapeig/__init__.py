@@ -20,9 +20,9 @@ from .plap import (DCReport, DCWorkspace, dc_solve, nu_update, random_fields,
                    resolvent_many)
 from .eigen import EigenResult, iiss, torsion
 from .estimator import IndicatorSet, dorfler_mark, estimate_all
-from .driver import AfemConfig, ConvergenceLog, LogRow, initial_mesh, run_afem
-from .io import (MeshFormatError, load_mesh, save_mesh, write_convergence_csv,
-                 write_vtk)
+from .driver import AfemConfig, ConvergenceLog, initial_mesh, run_afem
+from .io import (LogRow, MeshFormatError, load_mesh, save_mesh,
+                 write_convergence_csv, write_vtk)
 
 __version__ = "0.1.0"
 
@@ -37,8 +37,8 @@ __all__ = [
     "resolvent_many",
     "EigenResult", "iiss", "torsion",
     "IndicatorSet", "dorfler_mark", "estimate_all",
-    "AfemConfig", "ConvergenceLog", "LogRow", "initial_mesh", "run_afem",
-    "MeshFormatError", "load_mesh", "save_mesh",
+    "AfemConfig", "ConvergenceLog", "initial_mesh", "run_afem",
+    "LogRow", "MeshFormatError", "load_mesh", "save_mesh",
     "write_convergence_csv", "write_vtk",
     "__version__",
 ]

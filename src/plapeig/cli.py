@@ -157,11 +157,7 @@ def _cmd_solve_plap(args) -> int:
 def _cmd_estimate(args) -> int:
     cfg = args.config
     mesh = driver.initial_mesh(cfg)
-    res = eigen.iiss(mesh, cfg.p, eps_m=cfg.eps_m, max_m=cfg.max_iiss,
-                     eps_n=cfg.eps_n, seed=cfg.seed, max_dc=cfg.max_dc)
-    if not res.converged:
-        raise fem.SolverError(f"inverse iteration did not converge within "
-                              f"{cfg.max_iiss} sweeps")
+    res = driver.eigensolve(cfg, mesh)
     edges = edge_table(mesh)
     ind = estimator.estimate_all(mesh, edges, res.mu_rayleigh, res.u_lp,
                                  cfg.p)

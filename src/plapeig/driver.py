@@ -20,6 +20,7 @@ import numpy as np
 
 from . import eigen, estimator, fem, io
 from .fem import P1Function
+from .io import LogRow
 from .mesh import Mesh, edge_table, generate_disk, generate_lshape, \
     generate_unit_square, prolong_vertex_values, refine
 from .plap import DEFAULT_SEED
@@ -76,23 +77,6 @@ class AfemConfig:
 
 
 @dataclass
-class LogRow:
-    """One adaptive loop: mesh size, eigenvalue estimates, estimator,
-    iteration counts, marked-set size, and wall time."""
-
-    k: int
-    vertices: int
-    elements: int
-    mu: float
-    lambda_iiss: float
-    eta: float
-    iiss_iters: int
-    dc_iters: int
-    marked: int
-    seconds: float
-
-
-@dataclass
 class ConvergenceLog:
     rows: list[LogRow] = field(default_factory=list)
     stop_reason: str = ""
@@ -112,6 +96,19 @@ def initial_mesh(config: AfemConfig) -> Mesh:
     if config.domain == "disk":
         return generate_disk(config.resolution)
     return io.load_mesh(config.domain[len("file:"):])
+
+
+def eigensolve(config: AfemConfig, mesh: Mesh, **warm) -> eigen.EigenResult:
+    """`eigen.iiss` on mesh with the tolerances, caps and seed of config,
+    from warm (iiss's u0, lambda0 and fields0, or nothing); raises
+    SolverError unless the inverse iteration converged."""
+    res = eigen.iiss(mesh, config.p, eps_m=config.eps_m,
+                     max_m=config.max_iiss, eps_n=config.eps_n,
+                     seed=config.seed, max_dc=config.max_dc, **warm)
+    if not res.converged:
+        raise fem.SolverError(f"inverse iteration did not converge "
+                              f"within {config.max_iiss} sweeps")
+    return res
 
 
 def run_afem(config: AfemConfig) -> ConvergenceLog:
@@ -164,12 +161,7 @@ def _loop(config: AfemConfig, k: int, mesh: Mesh, warm: dict,
     as (vertices, triangles, coefficients) and None if the run stops, else
     the refined mesh and its warm start."""
     t0 = time.perf_counter()
-    res = eigen.iiss(mesh, config.p, eps_m=config.eps_m,
-                     max_m=config.max_iiss, eps_n=config.eps_n,
-                     seed=config.seed, max_dc=config.max_dc, **warm)
-    if not res.converged:
-        raise fem.SolverError(f"inverse iteration did not converge "
-                              f"within {config.max_iiss} sweeps")
+    res = eigensolve(config, mesh, **warm)
     ind = estimator.estimate_all(mesh, edge_table(mesh), res.mu_rayleigh,
                                  res.u_lp, config.p)
     final = (mesh.vertices, mesh.triangles, res.u_sup.coeffs)

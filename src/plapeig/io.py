@@ -10,14 +10,12 @@ doubles exactly.
 from __future__ import annotations
 
 import os
-from dataclasses import astuple
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
 from .mesh import Mesh, check_conforming
 from .fem import P1Function
-
-CSV_HEADER = "k,vertices,elements,mu,lambda_iiss,eta,iiss_iters,dc_iters,marked,seconds"
 
 
 class MeshFormatError(ValueError):
@@ -169,6 +167,27 @@ def write_vtk(mesh: Mesh, u: P1Function | None, path: str,
         parts.append("%.17g\n" * nv % tuple(u.coeffs.tolist()))
     with open(path, "w", encoding="ascii") as fp:
         fp.writelines(parts)
+
+
+@dataclass
+class LogRow:
+    """One adaptive loop: mesh size, eigenvalue estimates, estimator,
+    iteration counts, marked-set size, and wall time."""
+
+    k: int
+    vertices: int
+    elements: int
+    mu: float
+    lambda_iiss: float
+    eta: float
+    iiss_iters: int
+    dc_iters: int
+    marked: int
+    seconds: float
+
+
+#: The first line of convergence.csv: the fields of LogRow, in order.
+CSV_HEADER = ",".join(f.name for f in fields(LogRow))
 
 
 def write_convergence_csv(log, path: str) -> None:

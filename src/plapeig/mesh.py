@@ -4,9 +4,11 @@ A triangle is stored as three vertex indices ordered so that the edge
 opposite the local vertex 0 is its refinement edge.  Bisection inserts the
 midpoint of that edge; the two children take the midpoint as local vertex 0,
 so their refinement edges are the two remaining edges of the parent.  The
-structured generators assign refinement edges to cell hypotenuses, which
-makes the assignment globally compatible and keeps the number of triangle
-similarity classes finite under repeated refinement.
+unit square and the L-shape are cell masks over one structured grid, with
+vertices numbered row by row; each kept cell is split along its SW-NE
+diagonal, the refinement edge of both halves, which makes the assignment
+globally compatible and keeps the number of triangle similarity classes
+finite under repeated refinement.
 """
 
 from __future__ import annotations
@@ -239,60 +241,41 @@ def edge_table(mesh: Mesh) -> EdgeTable:
                      int_normals=normals, int_lengths=lengths)
 
 
-def generate_unit_square(n: int) -> Mesh:
-    """Structured mesh of (0,1)^2 with (n+1)^2 vertices and 2 n^2 triangles.
+def _grid(cells: int, extent: float, keep) -> Mesh:
+    """Mesh of the cells of a cells x cells grid on [0, extent]^2 whose
+    centres pass keep(x, y), an elementwise test.  Each kept cell, in scan
+    order (ascending y, then x), gives (se, ne, sw) and (nw, sw, ne), whose
+    refinement edge is its SW-NE diagonal.  The corners in use are numbered
+    row by row; every coordinate is a linspace entry, so the far sides lie
+    at extent exactly."""
+    ticks = np.linspace(0.0, extent, cells + 1)
+    centres = 0.5 * (ticks[:-1] + ticks[1:])
+    kept = np.broadcast_to(keep(centres, centres[:, None]), (cells, cells))
+    row, col = np.nonzero(kept)
+    sw = row * (cells + 1) + col
+    nw = sw + cells + 1
+    corners = np.column_stack((sw + 1, nw + 1, sw, nw, sw, nw + 1))
+    used, triangles = np.unique(corners, return_inverse=True)
+    row, col = np.divmod(used, cells + 1)
+    return Mesh(np.column_stack((ticks[col], ticks[row])),
+                triangles.reshape(-1, 3))
 
-    Every cell is split along its SW-NE diagonal and both triangles use that
-    hypotenuse as refinement edge.
-    """
+
+def generate_unit_square(n: int) -> Mesh:
+    """Structured mesh of (0,1)^2 with (n+1)^2 vertices and 2 n^2 triangles:
+    every cell of an n x n grid."""
     if n < 1:
         raise ValueError("n must be a positive integer")
-    xs = np.linspace(0.0, 1.0, n + 1)
-    xx, yy = np.meshgrid(xs, xs, indexing="xy")
-    vertices = np.column_stack((xx.ravel(), yy.ravel()))
-
-    def vid(i, j):
-        return j * (n + 1) + i
-
-    tris = []
-    for j in range(n):
-        for i in range(n):
-            sw, se = vid(i, j), vid(i + 1, j)
-            ne, nw = vid(i + 1, j + 1), vid(i, j + 1)
-            tris.append((se, ne, sw))  # lower triangle, hypotenuse (ne, sw)
-            tris.append((nw, sw, ne))  # upper triangle, hypotenuse (sw, ne)
-    return Mesh(vertices, tris)
+    return _grid(n, 1.0, lambda x, y: True)
 
 
 def generate_lshape(n: int) -> Mesh:
     """Structured mesh of the L-shape (0,2)^2 minus the closed top-right
-    unit square, with n cells per unit length (area 3 exactly)."""
+    unit square, with n cells per unit length (area 3 exactly): the cells
+    of a 2n x 2n grid outside that square."""
     if n < 1:
         raise ValueError("n must be a positive integer")
-    m = 2 * n  # cells per side of the bounding square
-    h = 1.0 / n
-
-    index = {}
-    vertices = []
-
-    def vid(i, j):
-        key = (i, j)
-        if key not in index:
-            index[key] = len(vertices)
-            vertices.append((i * h, j * h))
-        return index[key]
-
-    tris = []
-    for j in range(m):
-        for i in range(m):
-            cx, cy = (i + 0.5) * h, (j + 0.5) * h
-            if cx > 1.0 and cy > 1.0:
-                continue  # removed quadrant
-            sw, se = vid(i, j), vid(i + 1, j)
-            ne, nw = vid(i + 1, j + 1), vid(i, j + 1)
-            tris.append((se, ne, sw))
-            tris.append((nw, sw, ne))
-    return Mesh(vertices, tris)
+    return _grid(2 * n, 2.0, lambda x, y: (x < 1.0) | (y < 1.0))
 
 
 def generate_disk(levels: int) -> Mesh:
@@ -315,13 +298,18 @@ def refine(mesh: Mesh, marked) -> Mesh:
     splits its own refinement edge (recursively).  Each triangle is bisected
     once or twice depending on how many of its edges end up split.  New
     boundary vertices of disk meshes are projected onto the unit circle.
+    `marked` holds triangle indices; a boolean mask or floats raise
+    ValueError.
     """
-    marked = np.unique(np.asarray(list(marked) if not isinstance(marked, np.ndarray)
-                                  else marked, dtype=np.int64))
+    marked = np.unique(marked if isinstance(marked, np.ndarray)
+                       else list(marked))
     nt = mesh.num_triangles
     nv = mesh.num_vertices
     if marked.size == 0:
         raise ValueError("marked set must be nonempty")
+    if marked.dtype.kind not in "iu":
+        raise ValueError(f"marked set must hold triangle indices, not "
+                         f"{marked.dtype} values")
     if marked.min() < 0 or marked.max() >= nt:
         raise ValueError(f"marked triangle index out of range [0, {nt})")
 

@@ -76,6 +76,21 @@ def solve_dirichlet_dense(K, b, boundary) -> np.ndarray:
     return u
 
 
+def grid_corners_loop(cells: int, h: float, keep) -> np.ndarray:
+    """Corner coordinates (nt, 3, 2) of a structured grid mesh by a loop over
+    the cells in scan order (rows upward, each left to right): a cell whose
+    centre passes keep(cx, cy) gives (se, ne, sw) and (nw, sw, ne), with
+    the corner of grid index (i, j) at (i * h, j * h)."""
+    out = []
+    for j in range(cells):
+        for i in range(cells):
+            if keep((i + 0.5) * h, (j + 0.5) * h):
+                sw, se = (i * h, j * h), ((i + 1) * h, j * h)
+                ne, nw = ((i + 1) * h, (j + 1) * h), (i * h, (j + 1) * h)
+                out += [(se, ne, sw), (nw, sw, ne)]
+    return np.array(out)
+
+
 def min_angle(mesh) -> float:
     """Smallest interior angle over all triangles of a mesh, in radians, from
     the law of cosines on the three side lengths."""

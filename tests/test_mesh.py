@@ -73,10 +73,34 @@ class TestGenerators:
         assert all(a < np.pi for a in areas)
         assert abs(areas[-1] - np.pi) < 1e-3
 
+    @pytest.mark.parametrize("gen, cells_per_n, keep", [
+        (generate_unit_square, 1, lambda x, y: True),
+        (generate_lshape, 2, lambda x, y: x < 1.0 or y < 1.0)])
+    def test_cells_match_a_loop(self, gen, cells_per_n, keep):
+        # the cells, their order and their refinement edges of a cell loop;
+        # i * h can miss the far side by an ulp (1 - 2^-53 at n = 49), where
+        # the generators put it exactly
+        for n in (*range(1, 13), 49, 98):
+            m = gen(n)
+            want = oracles.grid_corners_loop(cells_per_n * n, 1.0 / n, keep)
+            far = float(cells_per_n)
+            want[np.abs(want - far) < 1e-12] = far
+            assert np.array_equal(m.vertices[m.triangles], want)
+
+    def test_lshape_sides_exact_and_rows_ascend(self):
+        for n in range(1, 101):
+            v = generate_lshape(n).vertices
+            assert v.max() == 2.0  # not 2 - 2^-52, as i * (1/n) gave
+            # numbered row by row: ascending y, then x
+            assert np.array_equal(np.lexsort((v[:, 0], v[:, 1])),
+                                  np.arange(len(v)))
+
     @pytest.mark.parametrize("gen", [generate_unit_square, generate_lshape])
     def test_generator_rejects_bad_n(self, gen):
         with pytest.raises(ValueError):
             gen(0)
+        with pytest.raises(TypeError):
+            gen(2.5)
 
     def test_disk_rejects_negative(self):
         with pytest.raises(ValueError):
@@ -162,6 +186,12 @@ class TestRefine:
             refine(m, [99])
         with pytest.raises(ValueError):
             refine(m, [-1])
+        # read as int64, the mask would mark triangles 0 and 1, and 20.9
+        # triangle 20
+        m = generate_unit_square(4)
+        for marked in (np.arange(m.num_triangles) == 20, [20.9]):
+            with pytest.raises(ValueError, match="triangle indices"):
+                refine(m, marked)
 
     def test_refine_uniform_rejects_negative_rounds(self):
         with pytest.raises(ValueError, match="rounds must be nonnegative"):

@@ -42,6 +42,33 @@ def test_modules_import_only_lower_layers():
                     f"{name} imports {target}, which is not below it"
 
 
+def test_every_import_is_read():
+    """Each name that a module of the package imports is read in that
+    module: a binding left behind by a simplification does not linger, not
+    even for the benchmark's tracer to patch.  `__init__.py`, whose imports
+    are re-exports, and `from __future__` are exempt."""
+    package = Path(plapeig.__file__).resolve().parent
+    unread = set()
+    for path in package.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        bound = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound.update(alias.asname or alias.name.split(".")[0]
+                             for alias in node.names)
+            elif (isinstance(node, ast.ImportFrom)
+                  and node.module != "__future__"):
+                bound.update(alias.asname or alias.name
+                             for alias in node.names)
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)
+                and isinstance(node.ctx, ast.Load)}
+        unread.update(f"{path.stem}.{name}" for name in bound - read)
+    assert not unread, f"imported but never read: {unread}"
+
+
 def test_only_fem_reads_the_quadrature_rule():
     """DEGREE5 is read, as a bare name or an attribute, by `fem` alone: how
     an element integral is taken, |u|^p in `fem.element_lp` above all, is
