@@ -51,7 +51,9 @@ def _add_solver_flags(p: argparse.ArgumentParser, with_eigen: bool):
                    help="seed of the random initial fields")
     if with_eigen:
         p.add_argument("--eps-m", type=float,
-                       help="relative eigenvalue-change tolerance")
+                       help="relative eigenvalue-change tolerance of the "
+                            "inverse iteration; run: of the final level, "
+                            "earlier levels stop at the balanced one")
         p.add_argument("--max-iiss", type=int,
                        help="cap on inverse-iteration sweeps")
 
@@ -157,7 +159,7 @@ def _cmd_solve_plap(args) -> int:
 def _cmd_estimate(args) -> int:
     cfg = args.config
     mesh = driver.initial_mesh(cfg)
-    res = driver.eigensolve(cfg, mesh)
+    res = driver.eigensolve(cfg, mesh, cfg.eps_m)
     edges = edge_table(mesh)
     ind = estimator.estimate_all(mesh, edges, res.mu_rayleigh, res.u_lp,
                                  cfg.p)

@@ -6,6 +6,18 @@ final logged row always carries a matching estimator value), then marks a
 bulk set and refines.  On polygonal domains the trial spaces are nested and
 the eigenvalue column decreases monotonically; disk meshes snap new boundary
 vertices to the circle, which trades nestedness for geometric fidelity.
+
+The inverse iteration of a level is balanced against the discretisation
+error (Carstensen & Gedicke, SIAM J. Numer. Anal. 50, 2012): a level k > 0
+that is not the last stops once its relative eigenvalue change is below
+max(eps_m, BALANCE * eta_{k-1}^q / mu_{k-1}), q = p / (p - 1), from the
+previous row; the next refinement discards the accuracy beyond that.
+Level 0 and a level that stops by max_loops run at eps_m.  A level that
+stops by eps_k is known only after its loose solve: the iteration then
+continues from its iterate, eigenvalue and fields to eps_m, on the same LU
+factor, and the row reports the finished eigenpair.  So eps_m is the
+tolerance of the final level, and lambda_iiss on earlier rows is a loose
+estimate; mu is the Rayleigh quotient of the returned iterate on every row.
 """
 
 from __future__ import annotations
@@ -23,11 +35,16 @@ from .fem import P1Function
 from .io import LogRow
 from .mesh import Mesh, edge_table, generate_disk, generate_lshape, \
     generate_unit_square, prolong_vertex_values, refine
-from .plap import DEFAULT_SEED
+from .plap import DCWorkspace, DEFAULT_SEED
 
 log = logging.getLogger(__name__)
 
 _DOMAINS = ("square", "lshape", "disk")
+
+#: Share of the previous level's eta^q / mu that a level which is not the
+#: last may leave as the relative eigenvalue change of its inverse
+#: iteration (see the module docstring).  0 runs every level at eps_m.
+BALANCE = 0.1
 
 
 @dataclass
@@ -38,7 +55,10 @@ class AfemConfig:
     cells-per-unit-length of the structured generators (bisection rounds for
     the disk) and is ignored for file meshes.  seed draws the random
     auxiliary fields of the level-0 torsion start; every later level starts
-    from the previous level's eigenfunction, eigenvalue and fields.
+    from the previous level's eigenfunction, eigenvalue and fields.  eps_m
+    is the inverse iteration's tolerance on the final level; earlier levels
+    of run_afem stop at the balanced tolerance of the module docstring,
+    which is never tighter.
     """
 
     domain: str
@@ -98,11 +118,13 @@ def initial_mesh(config: AfemConfig) -> Mesh:
     return io.load_mesh(config.domain[len("file:"):])
 
 
-def eigensolve(config: AfemConfig, mesh: Mesh, **warm) -> eigen.EigenResult:
-    """`eigen.iiss` on mesh with the tolerances, caps and seed of config,
-    from warm (iiss's u0, lambda0 and fields0, or nothing); raises
-    SolverError unless the inverse iteration converged."""
-    res = eigen.iiss(mesh, config.p, eps_m=config.eps_m,
+def eigensolve(config: AfemConfig, mesh: Mesh, eps_m: float,
+               **warm) -> eigen.EigenResult:
+    """`eigen.iiss` on mesh to eps_m, with the other tolerances, the caps
+    and the seed of config, from warm (iiss's u0, lambda0, fields0 and
+    workspace, or nothing); raises SolverError unless the inverse iteration
+    converged."""
+    res = eigen.iiss(mesh, config.p, eps_m=eps_m,
                      max_m=config.max_iiss, eps_n=config.eps_n,
                      seed=config.seed, max_dc=config.max_dc, **warm)
     if not res.converged:
@@ -156,31 +178,46 @@ def run_afem(config: AfemConfig) -> ConvergenceLog:
 def _loop(config: AfemConfig, k: int, mesh: Mesh, warm: dict,
           result: ConvergenceLog, vtk_blocks: dict):
     """Loop k of run_afem on mesh, from warm (iiss's u0, lambda0 and
-    fields0; empty at level 0): solve, estimate, log, write mesh_<k>.vtk,
+    fields0; empty at level 0): solve to the level's tolerance (finished at
+    eps_m if the run stops by eps_k), estimate, log, write mesh_<k>.vtk,
     and unless the run stops, mark and refine.  Returns the eigenfunction
     as (vertices, triangles, coefficients) and None if the run stops, else
     the refined mesh and its warm start."""
     t0 = time.perf_counter()
-    res = eigensolve(config, mesh, **warm)
+    prev = result.rows[-1] if result.rows else None
+    eps_m = config.eps_m
+    if prev is not None and k < config.max_loops:
+        q = config.p / (config.p - 1.0)
+        eps_m = max(eps_m, BALANCE * prev.eta ** q / prev.mu)
+    ws = DCWorkspace(mesh)
+    res = eigensolve(config, mesh, eps_m, workspace=ws, **warm)
+    iters, dc_iters = res.iiss_iterations, res.dc_iterations_total
+
+    stop = None
+    if prev is not None and (abs(prev.mu - res.mu_rayleigh) / prev.mu
+                             < config.eps_k):
+        stop = "eps_k"
+        if eps_m > config.eps_m:  # the last level: finish it at eps_m
+            res = eigensolve(config, mesh, config.eps_m, workspace=ws,
+                             u0=res.u_sup, lambda0=res.lambda_iiss,
+                             fields0=res.fields)
+            iters += res.iiss_iterations
+            dc_iters += res.dc_iterations_total
+    elif k >= config.max_loops:
+        stop = "max_loops"
+    del ws  # the LU factor dies before the estimator runs
+
     ind = estimator.estimate_all(mesh, edge_table(mesh), res.mu_rayleigh,
                                  res.u_lp, config.p)
     final = (mesh.vertices, mesh.triangles, res.u_sup.coeffs)
-
-    stop = None
-    mu_prev = result.rows[-1].mu if result.rows else None
-    if mu_prev is not None and (abs(mu_prev - res.mu_rayleigh) / mu_prev
-                                < config.eps_k):
-        stop = "eps_k"
-    elif k >= config.max_loops:
-        stop = "max_loops"
 
     marked = (np.array([], dtype=np.int64) if stop
               else estimator.dorfler_mark(ind, config.theta))
     row = LogRow(
         k=k, vertices=mesh.num_vertices, elements=mesh.num_triangles,
         mu=res.mu_rayleigh, lambda_iiss=res.lambda_iiss,
-        eta=ind.total_eta, iiss_iters=res.iiss_iterations,
-        dc_iters=res.dc_iterations_total, marked=len(marked),
+        eta=ind.total_eta, iiss_iters=iters, dc_iters=dc_iters,
+        marked=len(marked),
         seconds=time.perf_counter() - t0)
     result.rows.append(row)
     log.info("loop %d: vertices=%d mu=%.8g eta=%.4g marked=%d",

@@ -93,8 +93,8 @@ def _inverse_load(u: P1Function, p: float) -> np.ndarray:
 def iiss(mesh: Mesh, p: float, eps_m: float = 1e-5, max_m: int = 200,
          eps_n: float = 1e-5, seed: int = DEFAULT_SEED, max_dc: int = 500,
          u0: P1Function | None = None, lambda0: float | None = None,
-         fields0: tuple[np.ndarray, np.ndarray] | None = None
-         ) -> EigenResult:
+         fields0: tuple[np.ndarray, np.ndarray] | None = None,
+         workspace: DCWorkspace | None = None) -> EigenResult:
     """Inverse power iteration for the first eigenpair.
 
     With u0 given, the torsion start is skipped and the iteration proceeds
@@ -104,7 +104,10 @@ def iiss(mesh: Mesh, p: float, eps_m: float = 1e-5, max_m: int = 200,
     fields0 the first inner solve (the torsion start, if u0 is not given)
     uses the random fields drawn from seed; every later inner solve reuses
     the previous solve's auxiliary fields.  All solves of a call, the
-    torsion start included, share one DCWorkspace of the mesh.
+    torsion start included, share one DCWorkspace of the mesh: workspace if
+    given, else one built here.  A caller that keeps workspace can continue
+    the iteration from the result (u0=u_sup, lambda0=lambda_iiss,
+    fields0=fields) at a tighter eps_m on the same LU factor.
     """
     if not 0 < eps_m < math.inf:
         raise ValueError("eps_m must be finite and positive")
@@ -113,7 +116,7 @@ def iiss(mesh: Mesh, p: float, eps_m: float = 1e-5, max_m: int = 200,
     if fields0 is not None and u0 is None:
         raise ValueError("fields0 needs u0: the torsion start draws its own "
                          "fields")
-    ws = DCWorkspace(mesh)
+    ws = workspace if workspace is not None else DCWorkspace(mesh)
 
     dc_total = 0
     warm = fields0
@@ -161,7 +164,9 @@ def iiss(mesh: Mesh, p: float, eps_m: float = 1e-5, max_m: int = 200,
     if min_vertex < -NEGATIVITY_TOL:
         log.warning("eigenfunction iterates undershot zero by %.3e", -min_vertex)
 
-    del ws  # the LU factor and operators: the normalization needs neither
+    # the LU factor and operators, unless the caller keeps them: the
+    # normalization needs neither
+    del ws
     s = fem.sup_norm(u)
     u_sup = P1Function(mesh, u.coeffs / s)
     lpn = fem.lp_norm(u_sup, p)

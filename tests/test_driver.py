@@ -4,7 +4,7 @@ import weakref
 import numpy as np
 import pytest
 
-from plapeig import eigen, fem, io
+from plapeig import driver, eigen, fem, io, plap
 from plapeig.driver import AfemConfig, ConvergenceLog, initial_mesh, run_afem
 from plapeig.fem import P1Function, SolverError
 from plapeig.mesh import generate_unit_square, prolong_vertex_values
@@ -233,6 +233,76 @@ class TestLevelLifetimes:
         # lasts one run
         assert all(mesh() is None and vertices() is None
                    for mesh, vertices in refs)
+
+
+class TestBalancedStop:
+    """A level that is not the last stops its inverse iteration at the
+    balanced tolerance max(eps_m, BALANCE eta^q / mu) of the previous row;
+    BALANCE = 0 runs every level at eps_m."""
+
+    @staticmethod
+    def run_square(monkeypatch, balance):
+        """The p = 3 square run from resolution 4 with driver.BALANCE set to
+        balance; returns its log and its final mesh."""
+        final = []
+        iiss = eigen.iiss
+
+        def watched(mesh, *args, **kwargs):
+            final[:] = [mesh]
+            return iiss(mesh, *args, **kwargs)
+
+        monkeypatch.setattr(eigen, "iiss", watched)
+        monkeypatch.setattr(driver, "BALANCE", balance)
+        log = run_afem(AfemConfig(domain="square", resolution=4, p=3.0,
+                                  theta=0.6, eps_k=1e-12, max_loops=8))
+        assert log.stop_reason == "max_loops"
+        return log, final[0]
+
+    def test_fewer_sweeps_same_final_mu(self, monkeypatch):
+        balanced, final = self.run_square(monkeypatch, driver.BALANCE)
+        unbalanced, _ = self.run_square(monkeypatch, 0.0)
+        # 54 -> 23 inverse and 303 -> 167 DC sweeps
+        assert (balanced.column("iiss_iters").sum()
+                < unbalanced.column("iiss_iters").sum())
+        assert (balanced.column("dc_iters").sum()
+                <= 0.6 * unbalanced.column("dc_iters").sum())
+        # the last level runs at eps_m: its mu is as near the tightly
+        # converged one as test_default_tolerances_near_tight_mu asks at
+        # p = 3 (the meshes of the two runs may differ, so the unbalanced
+        # mu is no reference)
+        tight = eigen.iiss(final, 3.0, eps_m=1e-10).mu_rayleigh
+        assert abs(balanced.rows[-1].mu - tight) <= 1e-9 * tight
+
+    def test_eps_k_stop_finishes_on_the_same_factor(self, monkeypatch):
+        factors, results = [], []
+        factor, iiss = plap.DirichletFactor, eigen.iiss
+
+        def counted(*args, **kwargs):
+            factors.append(None)
+            return factor(*args, **kwargs)
+
+        def watched(*args, **kwargs):
+            results.append(iiss(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(plap, "DirichletFactor", counted)
+        monkeypatch.setattr(eigen, "iiss", watched)
+        cfg = AfemConfig(domain="lshape", resolution=4, p=2.0, eps_k=1e-3)
+        log = run_afem(cfg)
+        assert log.stop_reason == "eps_k"
+        assert len(factors) == len(log.rows)
+        # the last level ran a loose solve and its finish
+        assert len(results) == len(log.rows) + 1
+        loose, finish = results[-2:]
+        history = finish.lambda_history
+        assert abs(history[-1] - history[-2]) / history[-2] < cfg.eps_m
+        last = log.rows[-1]
+        assert (last.mu, last.lambda_iiss) == (finish.mu_rayleigh,
+                                               finish.lambda_iiss)
+        assert last.iiss_iters == (loose.iiss_iterations
+                                   + finish.iiss_iterations)
+        assert last.dc_iters == (loose.dc_iterations_total
+                                 + finish.dc_iterations_total)
 
 
 def lshape_p2_errors(theta: float, max_loops: int):
