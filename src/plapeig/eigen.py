@@ -1,14 +1,14 @@
 """First Dirichlet eigenpair of the p-Laplacian by normalized inverse iteration.
 
-Starting from the torsion solution of -div(|grad u|^{p-2} grad u) = 1
-(`torsion`, also behind the command line's solve-plap), each sweep solves
-the same quasilinear problem with right-hand side (max(u, 0) /
-||u||_inf)^{p-1} built from the previous iterate and reads off the
-eigenvalue estimate 1 / ||u||_inf^{p-1}.  The iteration stops once the
-relative eigenvalue change drops below a tolerance.  The headline eigenvalue
-reported alongside is the Rayleigh quotient of the L^p-normalized iterate,
-which bounds the continuous first eigenvalue from above on conforming
-meshes.
+Each sweep solves the quasilinear problem -div(|grad u|^{p-2} grad u) = f
+with right-hand side f = (max(u, 0) / ||u||_inf)^{p-1} built from the
+previous iterate and reads off the eigenvalue estimate 1 / ||u||_inf^{p-1}.
+From no iterate the right-hand side is 1, so a cold start's first sweep
+solves for the torsion function (`torsion` alone is the command line's
+solve-plap).  The iteration stops once the relative eigenvalue change drops
+below a tolerance.  The headline eigenvalue reported alongside is the
+Rayleigh quotient of the L^p-normalized iterate, which bounds the
+continuous first eigenvalue from above on conforming meshes.
 """
 
 from __future__ import annotations
@@ -39,10 +39,11 @@ class EigenResult:
     u_sup               eigenfunction scaled to unit sup norm
     u_lp                eigenfunction scaled to unit L^p norm
     mu_rayleigh         Rayleigh quotient of u_lp (the certified upper bound)
-    iiss_iterations     inverse-iteration sweeps performed
-    dc_iterations_total all inner splitting sweeps, torsion included
+    iiss_iterations     inverse-iteration sweeps performed, a cold
+                        start's torsion sweep included
+    dc_iterations_total all inner splitting sweeps
     converged           eigenvalue change fell below tolerance
-    lambda_history      lambda after every sweep, starting value included
+    lambda_history      lambda0 if given, then lambda after every sweep
     min_vertex_value    most negative vertex value seen across iterates
     fields              (xi, nu), the auxiliary fields of the last inner
                         solve, each (nt, 2); mapped through Mesh.parent they
@@ -62,8 +63,7 @@ class EigenResult:
 
 
 def torsion(mesh: Mesh, p: float, eps_n: float = 1e-5,
-            seed: int = DEFAULT_SEED, max_dc: int = 500,
-            workspace: DCWorkspace | None = None
+            seed: int = DEFAULT_SEED, max_dc: int = 500
             ) -> tuple[P1Function, DCReport]:
     """Solution of -div(|grad u|^{p-2} grad u) = 1 with zero boundary data,
     with the report of its splitting solve.
@@ -72,12 +72,18 @@ def torsion(mesh: Mesh, p: float, eps_n: float = 1e-5,
     max_dc sweeps.
     """
     u, report = plap.dc_solve(mesh, 1.0, p, eps_n=eps_n, max_iter=max_dc,
-                              seed=seed, workspace=workspace)
+                              seed=seed)
     if not report.converged:
-        raise SolverError(f"torsion start did not converge within {max_dc} "
-                          f"sweeps (relative change {report.rel_change:.3e})",
-                          residual=report.rel_change)
+        raise _stalled(f"torsion start did not converge within {max_dc} "
+                       f"sweeps", report)
     return u, report
+
+
+def _stalled(what: str, report: DCReport) -> SolverError:
+    """The error of a splitting solve that missed eps_n, what it was for
+    first."""
+    return SolverError(f"{what} (relative change {report.rel_change:.3e})",
+                       residual=report.rel_change)
 
 
 def _inverse_load(u: P1Function, p: float) -> np.ndarray:
@@ -97,14 +103,16 @@ def iiss(mesh: Mesh, p: float, eps_m: float = 1e-5, max_m: int = 200,
          workspace: DCWorkspace | None = None) -> EigenResult:
     """Inverse power iteration for the first eigenpair.
 
-    With u0 given, the torsion start is skipped and the iteration proceeds
-    from u0 (optionally with lambda0 seeding the stopping test, and fields0,
-    an (xi, nu) pair of (nt, 2) arrays, starting the first inner solve);
-    this is how the adaptive driver warm-starts on refined meshes.  Without
-    fields0 the first inner solve (the torsion start, if u0 is not given)
-    uses the random fields drawn from seed; every later inner solve reuses
-    the previous solve's auxiliary fields.  All solves of a call, the
-    torsion start included, share one DCWorkspace of the mesh: workspace if
+    Each sweep solves the load (max(u, 0) / ||u||_inf)^{p-1} of the last
+    iterate u.  A cold start (no u0) has no iterate, so its first sweep
+    solves the load 1: the torsion start.  With u0 the iteration proceeds
+    from u0; this is how the adaptive driver warm-starts on refined
+    meshes.  lambda0, the eigenvalue of the iterate before the first
+    sweep, seeds the stopping test; without it the first sweep cannot
+    stop.  The first inner solve starts from fields0, an (xi, nu) pair of
+    (nt, 2) arrays, or else from the random fields drawn from seed; every
+    later inner solve reuses the previous solve's auxiliary fields.  All
+    solves of a call share one DCWorkspace of the mesh: workspace if
     given, else one built here.  A caller that keeps workspace can continue
     the iteration from the result (u0=u_sup, lambda0=lambda_iiss,
     fields0=fields) at a tighter eps_m on the same LU factor.
@@ -113,53 +121,41 @@ def iiss(mesh: Mesh, p: float, eps_m: float = 1e-5, max_m: int = 200,
         raise ValueError("eps_m must be finite and positive")
     if max_m < 1:
         raise ValueError("max_m must be at least 1")
-    if fields0 is not None and u0 is None:
-        raise ValueError("fields0 needs u0: the torsion start draws its own "
-                         "fields")
-    ws = workspace if workspace is not None else DCWorkspace(mesh)
-
-    dc_total = 0
-    warm = fields0
-    if u0 is None:
-        u, report = torsion(mesh, p, eps_n=eps_n, seed=seed, max_dc=max_dc,
-                            workspace=ws)
-        dc_total += report.iterations
-        warm = (report.xi, report.nu)
-    else:
+    if lambda0 is not None and not 0 < lambda0 < math.inf:
+        raise ValueError("lambda0 must be finite and positive")
+    u, min_vertex = u0, math.inf
+    if u0 is not None:
         if u0.mesh is not mesh:
             raise ValueError("u0 must live on the given mesh")
-        u = u0
+        if fem.sup_norm(u0) == 0.0:
+            raise SolverError("starting iterate is identically zero")
+        min_vertex = float(u0.coeffs.min())
+    ws = workspace if workspace is not None else DCWorkspace(mesh)
 
-    min_vertex = float(u.coeffs.min())
-    s = fem.sup_norm(u)
-    if s == 0.0:
-        raise SolverError("starting iterate is identically zero")
-    lam_prev = lambda0 if lambda0 is not None else 1.0 / s ** (p - 1.0)
-    history = [float(lam_prev)]
-
+    # NaN, no eigenvalue yet, fails the stopping test
+    lam = math.nan if lambda0 is None else float(lambda0)
+    history = [] if lambda0 is None else [lam]
+    dc_total = 0
+    warm = fields0
     converged = False
-    lam = lam_prev
-    m = 0
-    while m < max_m:
-        m += 1
-        u_new, report = plap.dc_solve(mesh, _inverse_load(u, p), p,
-                                      eps_n=eps_n, max_iter=max_dc,
-                                      init=warm, seed=seed, workspace=ws)
+    for m in range(1, max_m + 1):
+        u, report = plap.dc_solve(
+            mesh, 1.0 if u is None else _inverse_load(u, p), p, eps_n=eps_n,
+            max_iter=max_dc, init=warm, seed=seed, workspace=ws)
         dc_total += report.iterations
         if not report.converged:
-            raise SolverError(f"inner splitting solve stalled at sweep m={m}, "
-                              f"lambda={lam:.8g} (relative change "
-                              f"{report.rel_change:.3e})",
-                              residual=report.rel_change)
+            raise _stalled(
+                f"torsion start did not converge within {max_dc} sweeps"
+                if m == 1 and u0 is None else
+                f"inner splitting solve stalled at sweep m={m}, "
+                f"lambda={lam:.8g}", report)
         warm = (report.xi, report.nu)
-        u = u_new
         min_vertex = min(min_vertex, float(u.coeffs.min()))
-        lam = 1.0 / fem.sup_norm(u) ** (p - 1.0)
+        lam_prev, lam = lam, 1.0 / fem.sup_norm(u) ** (p - 1.0)
         history.append(float(lam))
         if abs(lam - lam_prev) / abs(lam_prev) < eps_m:
             converged = True
             break
-        lam_prev = lam
 
     if min_vertex < -NEGATIVITY_TOL:
         log.warning("eigenfunction iterates undershot zero by %.3e", -min_vertex)

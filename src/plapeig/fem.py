@@ -226,26 +226,28 @@ class DirichletFactor:
     def __init__(self, A: sp.spmatrix, boundary: np.ndarray):
         """A is the symmetric interior block, its rows and columns those of
         the vertices not flagged in boundary, in ascending order (see
-        `interior_blocks`)."""
+        `interior_blocks`); a mesh without interior vertices, whose trial
+        space is trivial, is rejected here."""
         boundary = np.asarray(boundary, dtype=bool)
         self.idx = np.nonzero(~boundary)[0]
+        if not len(self.idx):
+            raise ValueError("mesh has no interior vertices; the trial space "
+                             "is trivial")
         if A.shape != (len(self.idx), len(self.idx)):
             raise ValueError("matrix size must match the interior vertex "
                              "count")
         self._A = A = sp.csr_matrix(A)
         # A is symmetric, so its CSR arrays are those of its CSC form:
         # SuperLU gets them without a copy.
-        self._lu = (spla.splu(sp.csc_matrix((A.data, A.indices, A.indptr),
-                                            shape=A.shape),
-                              permc_spec="MMD_AT_PLUS_A",
-                              diag_pivot_thresh=0.0, relax=1, panel_size=1,
-                              options=dict(SymmetricMode=True))
-                    if len(self.idx) else None)
+        self._lu = spla.splu(sp.csc_matrix((A.data, A.indices, A.indptr),
+                                           shape=A.shape),
+                             permc_spec="MMD_AT_PLUS_A",
+                             diag_pivot_thresh=0.0, relax=1, panel_size=1,
+                             options=dict(SymmetricMode=True))
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Solution on the interior vertices, in the order of idx, for a
-        load b on the interior vertices in the same order; a mesh without
-        interior vertices has an empty, hence zero, load."""
+        load b on the interior vertices in the same order."""
         if len(b) != len(self.idx):
             raise ValueError("load length must match the interior vertex "
                              "count")

@@ -31,14 +31,17 @@ def _fmt(x: float) -> str:
 
 
 def save_mesh(mesh: Mesh, path: str) -> None:
-    """Write a mesh in the ASCII format (exact decimal round-trip)."""
-    lines = [f"{mesh.num_vertices} {mesh.num_triangles}"]
-    for (x, y), b in zip(mesh.vertices, mesh.boundary_vertex):
-        lines.append(f"{_fmt(x)} {_fmt(y)} {1 if b else 0}")
-    for t in mesh.triangles:
-        lines.append(f"{t[0]} {t[1]} {t[2]}")
+    """Write a mesh in the ASCII format (exact decimal round-trip).  Each
+    block is one % over tolist(), as in `write_vtk`; the flags b ride in
+    the float rows and print through %d."""
+    nv, nt = mesh.num_vertices, mesh.num_triangles
+    rows = np.column_stack((mesh.vertices, mesh.boundary_vertex))
     with open(path, "w", encoding="ascii") as fp:
-        fp.write("\n".join(lines) + "\n")
+        fp.writelines([
+            f"{nv} {nt}\n",
+            "%.17g %.17g %d\n" * nv % tuple(rows.ravel().tolist()),
+            "%d %d %d\n" * nt % tuple(mesh.triangles.ravel().tolist()),
+        ])
 
 
 def load_mesh(path: str) -> Mesh:

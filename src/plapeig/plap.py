@@ -174,14 +174,10 @@ class DCWorkspace:
       are stored component by component to match).  Its transpose, a view
       built once, is the divergence behind g_load.
 
-    Every solve path builds one, so it is where a mesh without interior
-    vertices (a trivial trial space) is rejected.
+    A workspace serves only the mesh it was built on.
     """
 
     def __init__(self, mesh: Mesh):
-        if mesh.boundary_vertex.all():
-            raise ValueError("mesh has no interior vertices; the trial space "
-                             "is trivial")
         self.mesh = mesh
         stiffness, self.mass = fem.interior_blocks(mesh)
         self.factor = DirichletFactor(stiffness, mesh.boundary_vertex)
@@ -254,6 +250,8 @@ def dc_solve(mesh: Mesh, f, p: float, eps_n: float = 1e-5, max_iter: int = 500,
         raise ValueError("eps_n must be finite and positive")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
+    if workspace is not None and workspace.mesh is not mesh:
+        raise ValueError("workspace must belong to the given mesh")
     ws = workspace if workspace is not None else DCWorkspace(mesh)
     nt = mesh.num_triangles
 

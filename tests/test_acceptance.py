@@ -205,6 +205,7 @@ def test_criterion_10_torsion_analytics():
            "; ".join(f"{n} relerr={r:.1e}" for n, r, _ in checks))
 
 
+@pytest.mark.slow
 def test_criterion_11_mesh_soak():
     rng = np.random.default_rng(2024)
     mesh = generate_lshape(1)

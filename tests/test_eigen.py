@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from plapeig import eigen, fem
+from plapeig import eigen, fem, plap
 from plapeig.fem import P1Function, SolverError
 from plapeig.mesh import (Mesh, MeshConformityError, generate_disk,
                           generate_unit_square, prolong_vertex_values,
@@ -96,7 +96,8 @@ class TestIISS:
         u0 = P1Function(fine, prolong_vertex_values(fine, res_c.u_sup.coeffs))
         warm = eigen.iiss(fine, 2.0, u0=u0, lambda0=res_c.lambda_iiss)
         assert warm.mu_rayleigh == pytest.approx(cold.mu_rayleigh, rel=1e-6)
-        assert warm.iiss_iterations <= cold.iiss_iterations
+        # cold counts its torsion sweep, which the warm start skips
+        assert warm.iiss_iterations <= cold.iiss_iterations - 1
 
     def test_fields_are_last_auxiliary_fields(self):
         m = generate_unit_square(6)
@@ -127,13 +128,32 @@ class TestIISS:
         with pytest.raises(ValueError):
             eigen.iiss(m, 3.0, u0=u0, fields0=bad)
         good = (np.zeros((nt, 2)), np.zeros((nt, 2)))
-        with pytest.raises(ValueError, match="fields0 needs u0"):
-            eigen.iiss(m, 3.0, fields0=good)
+        with pytest.raises(ValueError):
+            eigen.iiss(m, 3.0, fields0=bad)
+        # without u0, fields0 starts the torsion sweep
+        seeded = eigen.iiss(m, 3.0, fields0=good, max_m=1)
+        u, rep = plap.dc_solve(m, 1.0, 3.0, init=good)
+        assert seeded.dc_iterations_total == rep.iterations
+        assert np.array_equal(seeded.u_sup.coeffs,
+                              u.coeffs / fem.sup_norm(u))
+        assert not np.array_equal(
+            seeded.u_sup.coeffs, eigen.iiss(m, 3.0, max_m=1).u_sup.coeffs)
+
+    def test_cold_first_sweep_is_the_torsion_solve(self):
+        m = generate_unit_square(6)
+        p = 3.0
+        res = eigen.iiss(m, p, max_m=1)
+        u, rep = eigen.torsion(m, p)
+        s = fem.sup_norm(u)
+        assert res.iiss_iterations == 1 and not res.converged
+        assert res.dc_iterations_total == rep.iterations
+        assert np.array_equal(res.u_sup.coeffs, u.coeffs / s)
+        assert res.lambda_history == [1.0 / s ** (p - 1.0)]
 
     def test_dc_counters_accumulate(self):
         res = eigen.iiss(generate_unit_square(6), 2.0)
-        # torsion start contributes 3 sweeps, every eigeniteration 2+
-        assert res.dc_iterations_total >= res.iiss_iterations * 2 + 3
+        # the torsion sweep takes 3 splitting sweeps, every later one 2+
+        assert res.dc_iterations_total >= res.iiss_iterations * 2 + 1
 
     def test_max_m_reached_flagged(self):
         res = eigen.iiss(generate_unit_square(8), 2.0, eps_m=1e-14, max_m=3)
@@ -154,6 +174,19 @@ class TestIISS:
             eigen.iiss(m, 2.0, max_m=0)
         with pytest.raises(ValueError):
             eigen.iiss(generate_unit_square(1), 2.0)  # no interior vertex
+        u0 = eigen.iiss(m, 2.0).u_sup
+        for lambda0 in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="lambda0"):
+                eigen.iiss(m, 2.0, u0=u0, lambda0=lambda0)
+
+    def test_workspace_of_another_mesh_rejected(self):
+        # the 2 x 1 rectangle on the triangles of the unit square: with the
+        # square's operators mu came out 36.593 instead of 36.207
+        square = generate_unit_square(8)
+        rect = Mesh(vertices=square.vertices * [2.0, 1.0],
+                    triangles=square.triangles)
+        with pytest.raises(ValueError, match="workspace"):
+            eigen.iiss(rect, 3.0, workspace=plap.DCWorkspace(square))
 
     def test_non_finite_vertex_is_a_mesh_error(self):
         m = generate_unit_square(4)

@@ -204,6 +204,12 @@ class TestDirichletSolve:
         with pytest.raises(ValueError, match="interior vertex count"):
             fem.DirichletFactor(fem.assemble_stiffness(m), m.boundary_vertex)
 
+    def test_no_interior_vertices_rejected(self):
+        m = generate_unit_square(1)
+        with pytest.raises(ValueError, match="no interior vertices"):
+            fem.DirichletFactor(fem.interior_blocks(m)[0],
+                                m.boundary_vertex)
+
     def test_torsion_center_value_fourier(self):
         # -lap u = 1 on the unit square against the series oracle, at a
         # vertex count beyond ten thousand

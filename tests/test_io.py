@@ -30,6 +30,21 @@ class TestMeshRoundTrip:
         assert np.array_equal(back.vertices, m.vertices)
         check_conforming(back)
 
+    def test_text_matches_rowwise_formatting(self, tmp_path):
+        # the block templates print what {:.17g} prints row by row, signed
+        # zeros and extreme exponents included
+        m = generate_unit_square(2)
+        vertices = m.vertices.copy()
+        vertices[:3] = [(-0.0, 1e-300), (-2.5e17, 0.1), (1.0 / 3.0, -0.0)]
+        m = Mesh(vertices=vertices, triangles=m.triangles)
+        path = tmp_path / "m.txt"
+        save_mesh(m, str(path))
+        ref = [f"{m.num_vertices} {m.num_triangles}"]
+        ref += [f"{x:.17g} {y:.17g} {int(b)}"
+                for (x, y), b in zip(m.vertices, m.boundary_vertex)]
+        ref += [f"{i} {j} {k}" for i, j, k in m.triangles]
+        assert path.read_text() == "\n".join(ref) + "\n"
+
     def test_truncated_file(self, tmp_path):
         m = generate_unit_square(2)
         path = tmp_path / "m.txt"

@@ -3,7 +3,7 @@ import pytest
 
 from plapeig import fem, plap
 from plapeig.fem import SolverError
-from plapeig.mesh import generate_disk, generate_lshape, \
+from plapeig.mesh import Mesh, generate_disk, generate_lshape, \
     generate_unit_square, refine
 
 import oracles
@@ -298,6 +298,14 @@ class TestDCSolve:
         u1, _ = plap.dc_solve(m, 1.0, 2.5, workspace=ws)
         u2, _ = plap.dc_solve(m, 1.0, 2.5)
         assert np.max(np.abs(u1.coeffs - u2.coeffs)) < 1e-14
+
+    def test_workspace_of_another_mesh_rejected(self):
+        # the unit square scaled by 2: with the 8 x 8 unit square's
+        # operators max u came out 0.368 instead of 0.521
+        square = generate_unit_square(8)
+        big = Mesh(vertices=2.0 * square.vertices, triangles=square.triangles)
+        with pytest.raises(ValueError, match="workspace"):
+            plap.dc_solve(big, 1.0, 3.0, workspace=plap.DCWorkspace(square))
 
     def test_random_fields_range_and_reproducibility(self):
         m = generate_unit_square(4)
