@@ -237,4 +237,4 @@ def _loop(config: AfemConfig, k: int, mesh: Mesh, warm: dict,
     return final, (fine, dict(
         u0=P1Function(fine, prolong_vertex_values(fine, res.u_sup.coeffs)),
         lambda0=res.lambda_iiss,
-        fields0=tuple(f[fine.parent] for f in res.fields)))
+        fields0=tuple(np.take(f, fine.parent, axis=0) for f in res.fields)))

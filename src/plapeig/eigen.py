@@ -106,12 +106,13 @@ def iiss(mesh: Mesh, p: float, eps_m: float = 1e-5, max_m: int = 200,
     Each sweep solves the load (max(u, 0) / ||u||_inf)^{p-1} of the last
     iterate u.  A cold start (no u0) has no iterate, so its first sweep
     solves the load 1: the torsion start.  With u0 the iteration proceeds
-    from u0; this is how the adaptive driver warm-starts on refined
-    meshes.  lambda0, the eigenvalue of the iterate before the first
-    sweep, seeds the stopping test; without it the first sweep cannot
-    stop.  The first inner solve starts from fields0, an (xi, nu) pair of
-    (nt, 2) arrays, or else from the random fields drawn from seed; every
-    later inner solve reuses the previous solve's auxiliary fields.  All
+    from u0, which needs a positive vertex value (else SolverError); this
+    is how the adaptive driver warm-starts on refined meshes.  lambda0,
+    the eigenvalue of the iterate before the first sweep, seeds the
+    stopping test; without it the first sweep cannot stop.  The first
+    inner solve starts from fields0, an (xi, nu) pair of (nt, 2) arrays,
+    or else from the random fields drawn from seed; every later inner
+    solve reuses the previous solve's auxiliary fields.  All
     solves of a call share one DCWorkspace of the mesh: workspace if
     given, else one built here.  A caller that keeps workspace can continue
     the iteration from the result (u0=u_sup, lambda0=lambda_iiss,
@@ -127,8 +128,9 @@ def iiss(mesh: Mesh, p: float, eps_m: float = 1e-5, max_m: int = 200,
     if u0 is not None:
         if u0.mesh is not mesh:
             raise ValueError("u0 must live on the given mesh")
-        if fem.sup_norm(u0) == 0.0:
-            raise SolverError("starting iterate is identically zero")
+        # the first load (max(u0, 0) / ||u0||_inf)^{p-1} would vanish
+        if u0.coeffs.max() <= 0.0:
+            raise SolverError("starting iterate has no positive vertex value")
         min_vertex = float(u0.coeffs.min())
     ws = workspace if workspace is not None else DCWorkspace(mesh)
 

@@ -59,7 +59,8 @@ def _jump_terms(mesh: Mesh, edges: EdgeTable, u: P1Function,
     q = p / (p - 1.0)
     sigma = fem.p_flux(fem.grad(u), p)
     jump = np.einsum("ed,ed->e",
-                     sigma[edges.int_tri_plus] - sigma[edges.int_tri_minus],
+                     np.take(sigma, edges.int_tri_plus, axis=0)
+                     - np.take(sigma, edges.int_tri_minus, axis=0),
                      edges.int_normals)
     return edges.int_lengths ** 2 * np.abs(jump) ** q
 
@@ -95,7 +96,7 @@ def dorfler_mark(ind: IndicatorSet, theta: float) -> np.ndarray:
     if not 0.0 < theta <= 1.0:
         raise ValueError("theta must lie in (0, 1]")
     eta = ind.eta_q
-    order = np.argsort(-eta, kind="stable")
+    order = np.argsort(-eta)  # csum depends only on the sorted values
     csum = np.cumsum(eta[order])
     total = csum[-1]
     if total <= 0.0:

@@ -84,9 +84,8 @@ class Mesh:
     def areas(self) -> np.ndarray:
         """Area per triangle; raises MeshConformityError unless every
         triangle is counterclockwise with finite positive area."""
-        p0 = self.vertices[self.triangles[:, 0]]
-        p1 = self.vertices[self.triangles[:, 1]]
-        p2 = self.vertices[self.triangles[:, 2]]
+        p0, p1, p2 = (np.take(self.vertices, self.triangles[:, i], axis=0)
+                      for i in range(3))
         e1 = p1 - p0
         e2 = p2 - p0
         with np.errstate(invalid="ignore"):  # inf * 0 gives NaN, rejected
@@ -100,17 +99,23 @@ class Mesh:
     @cached_property
     def basis_gradients(self) -> np.ndarray:
         """Gradients of the three nodal P1 basis functions per triangle,
-        (nt, 3, 2); raises like `areas` on degenerate triangles."""
-        pts = self.vertices[self.triangles]      # (nt, 3, 2)
-        g = np.empty_like(pts)
-        for i in range(3):
-            # edge opposite vertex i
-            e = pts[:, (i + 2) % 3] - pts[:, (i + 1) % 3]
-            g[:, i, 0] = -e[:, 1]
-            g[:, i, 1] = e[:, 0]
-        g /= (2.0 * self.areas)[:, None, None]
+        (nt, 3, 2); raises like `areas` on degenerate triangles.  The array
+        is a view of component-major (2, nt, 3) memory: component d of
+        every gradient, `[..., d]`, is contiguous."""
+        tail, head = _edge_arrays(self.triangles)
+        x, y = self.vertices.T
+        # The edge opposite vertex i runs from tail to head; rotated by +90
+        # degrees, (-dy, dx), and divided by 2 |T|, it is the gradient of
+        # phi_i.  The sign goes on the divisor: an edge with dy = 0 gives
+        # the -0.0 of -dy.
+        g = np.empty((2,) + tail.shape)
+        np.subtract(np.take(y, head), np.take(y, tail), out=g[0])
+        np.subtract(np.take(x, head), np.take(x, tail), out=g[1])
+        two_area = (2.0 * self.areas)[:, None]
+        g[0] /= -two_area
+        g[1] /= two_area
         g.setflags(write=False)
-        return g
+        return g.transpose(1, 2, 0)
 
     @cached_property
     def edge_numbering(self) -> tuple[np.ndarray, np.ndarray, np.ndarray,
@@ -232,11 +237,15 @@ def edge_table(mesh: Mesh) -> EdgeTable:
     _, _, counts, order = mesh.edge_numbering
     first = (np.cumsum(counts) - counts)[counts == 2]
     t_plus, j_plus = np.divmod(order[first], 3)
-    tail, head = (mesh.triangles[t_plus, (j_plus + k) % 3] for k in (1, 2))
-    evec = mesh.vertices[head] - mesh.vertices[tail]
-    lengths = np.linalg.norm(evec, axis=1)
+    # local vertices j + 1 and j + 2 of t, as flat indices into triangles
+    tail, head = (np.take(mesh.triangles, 3 * t_plus + (j_plus + k) % 3)
+                  for k in (1, 2))
+    evec = (np.take(mesh.vertices, head, axis=0)
+            - np.take(mesh.vertices, tail, axis=0))
+    ex, ey = evec[:, 0], evec[:, 1]
+    lengths = np.sqrt(ex * ex + ey * ey)
     # Outward normal of the plus triangle: edge vector rotated by -90 degrees.
-    normals = np.column_stack((evec[:, 1], -evec[:, 0])) / lengths[:, None]
+    normals = np.column_stack((ey, -ex)) / lengths[:, None]
     return EdgeTable(int_tri_plus=t_plus, int_tri_minus=order[first + 1] // 3,
                      int_normals=normals, int_lengths=lengths)
 
@@ -319,12 +328,13 @@ def refine(mesh: Mesh, marked) -> Mesh:
     # Closure fixpoint over split edges: refinement edge is local edge 0.
     split = np.zeros(n_edges, dtype=bool)
     split[edge_id[marked, 0]] = True
+    e0, e1, e2 = edge_id.T
     while True:
-        touched = split[edge_id].any(axis=1)
-        need = touched & ~split[edge_id[:, 0]]
+        s0 = split[e0]
+        need = (split[e1] | split[e2]) & ~s0
         if not need.any():
             break
-        split[edge_id[need, 0]] = True
+        split[e0[need]] = True
 
     split_ids = np.nonzero(split)[0]
     midpoint_of = np.full(n_edges, -1, dtype=np.int64)
@@ -332,11 +342,12 @@ def refine(mesh: Mesh, marked) -> Mesh:
 
     ea = codes[split_ids] // nv
     eb = codes[split_ids] % nv
-    new_pts = 0.5 * (mesh.vertices[ea] + mesh.vertices[eb])
+    new_pts = 0.5 * (np.take(mesh.vertices, ea, axis=0)
+                     + np.take(mesh.vertices, eb, axis=0))
     new_bnd = counts[split_ids] == 1  # midpoints of boundary edges
     if mesh.snap_to_unit_circle and new_bnd.any():
-        r = np.linalg.norm(new_pts[new_bnd], axis=1)
-        new_pts[new_bnd] /= r[:, None]
+        x, y = new_pts[new_bnd].T
+        new_pts[new_bnd] /= np.sqrt(x * x + y * y)[:, None]
 
     vertices = np.vstack((mesh.vertices, new_pts))
     vertex_parents = np.vstack((mesh.vertex_parents,

@@ -59,7 +59,8 @@ def resolvent_many(s: np.ndarray, p: float) -> np.ndarray:
     if not 1 < p < math.inf:
         raise ValueError("p must exceed 1 and be finite")
     s = np.asarray(s, dtype=np.float64)
-    if np.any(s < 0) or not np.all(np.isfinite(s)):
+    # two reductions; a NaN fails both comparisons
+    if s.size and not (s.min() >= 0.0 and s.max() < math.inf):
         raise ValueError("s must be finite and nonnegative")
     if p == 2.0:
         return 0.5 * s
@@ -78,7 +79,10 @@ def _quadratic_root(s: np.ndarray) -> np.ndarray:
     overflow.  Near the top of the range it can round one unit above
     sqrt(s), which bounds the root; clipping there keeps t^2 finite.
     """
-    t = s / (0.5 + np.sqrt(s + 0.25))
+    t = s + 0.25
+    np.sqrt(t, out=t)
+    t += 0.5
+    np.divide(s, t, out=t)
     return np.minimum(t, np.sqrt(s), out=t)
 
 
@@ -130,13 +134,16 @@ def nu_update(w: np.ndarray, p: float) -> np.ndarray:
     """Solve |nu|^{p-2} nu + nu = w rowwise for the flux field nu.
 
     By radial symmetry nu is parallel to w with magnitude
-    resolvent_many(|w|, p); zero rows stay zero.
+    resolvent_many(|w|, p); zero rows stay zero.  nu has the shape and
+    memory layout of w.
     """
     w = np.asarray(w, dtype=np.float64)
-    n = np.sqrt(np.einsum("...d,...d->...", w, w))
-    r = resolvent_many(n, p)
-    scale = np.divide(r, n, out=np.zeros_like(n), where=n > 0.0)
-    return scale[..., None] * w
+    x, y = w[..., 0], w[..., 1]
+    n = np.sqrt(x * x + y * y)
+    # the root of s = 0 is 0, so a zero row keeps scale 0
+    scale = resolvent_many(n, p)
+    np.divide(scale, n, out=scale, where=n > 0.0)
+    return np.multiply(w, scale[..., None], out=np.empty_like(w))
 
 
 @dataclass
@@ -201,8 +208,10 @@ class DCWorkspace:
 
     def g_load(self, g: np.ndarray) -> np.ndarray:
         """Load vector of the field term on the interior vertices:
-        -sum_T |T| g_T . grad(phi_i)."""
-        return -(self._div @ (self.mesh.areas[:, None] * g).T.ravel())
+        -sum_T |T| g_T . grad(phi_i), for an (nt, 2) field g.  A field in
+        Fortran order, as the sweep keeps them, is weighted without a
+        layout copy."""
+        return -(self._div @ (g.T * self.mesh.areas).ravel())
 
 
 def random_fields(mesh: Mesh, seed: int = DEFAULT_SEED) -> tuple[np.ndarray, np.ndarray]:
@@ -255,13 +264,18 @@ def dc_solve(mesh: Mesh, f, p: float, eps_n: float = 1e-5, max_iter: int = 500,
     ws = workspace if workspace is not None else DCWorkspace(mesh)
     nt = mesh.num_triangles
 
-    # Fields are (nt, 2) arrays stored component by component (Fortran
-    # order), the row order of ws.grad, so that every field operation runs
-    # over contiguous memory.
+    # Fields are flat vectors of length 2 nt stored component by component,
+    # the row order of ws.grad; field(v) is their (nt, 2) view, in Fortran
+    # order.  Every field operation of a sweep runs over contiguous memory
+    # and copies no layout.
+    def field(v: np.ndarray) -> np.ndarray:
+        return v.reshape(2, nt).T
+
     xi, nu = (np.array(a, dtype=np.float64, order="F")
               for a in (random_fields(mesh, seed) if init is None else init))
     if xi.shape != (nt, 2) or nu.shape != (nt, 2):
         raise ValueError("init fields must have one 2-vector per triangle")
+    xi, nu = xi.T.ravel(), nu.T.ravel()
 
     if np.isscalar(f):
         f = fem.assemble_rhs(mesh, f)
@@ -276,9 +290,9 @@ def dc_solve(mesh: Mesh, f, p: float, eps_n: float = 1e-5, max_iter: int = 500,
     while n < max_iter:
         n += 1
         if w is not None:
-            nu = nu_update(w, p)
+            nu = nu_update(field(w), p).T.ravel()
             xi = w - nu
-        new_load = b_f + ws.g_load(xi - nu)
+        new_load = b_f + ws.g_load(field(xi - nu))
         # At p = 2 the resolvent halves w, so xi - nu vanishes after every
         # sweep and the next load repeats the last one bit for bit; its
         # solution, gradient and M x are then those of the last sweep.
@@ -286,7 +300,7 @@ def dc_solve(mesh: Mesh, f, p: float, eps_n: float = 1e-5, max_iter: int = 500,
                                               load.view(np.int64)):
             load = new_load
             x_new = ws.factor.solve(load)
-            gu = (ws.grad @ x_new).reshape(2, nt).T
+            gu = ws.grad @ x_new
             mx_new = ws.mass @ x_new
         tw = xi + gu
         if n >= 2:
@@ -304,10 +318,12 @@ def dc_solve(mesh: Mesh, f, p: float, eps_n: float = 1e-5, max_iter: int = 500,
         log.warning("dc_solve hit max_iter=%d at relative change %.3e",
                     max_iter, rel_change)
 
-    nu = nu_update(tw, p)
-    xi = tw - nu
+    nu = nu_update(field(tw), p)
+    xi = field(tw) - nu
     q = p / (p - 1.0)
-    mismatch = np.linalg.norm(xi - fem.p_flux(gu, p), axis=1)
+    e = xi - fem.p_flux(field(gu), p)
+    ex, ey = e[:, 0], e[:, 1]
+    mismatch = np.sqrt(ex * ex + ey * ey)
     consistency = float(np.dot(mesh.areas, mismatch ** q) ** (1.0 / q))
     coeffs = np.zeros(mesh.num_vertices)
     coeffs[ws.factor.idx] = x_new
@@ -320,65 +336,95 @@ def dc_solve(mesh: Mesh, f, p: float, eps_n: float = 1e-5, max_iter: int = 500,
 class _Anderson:
     """Type-II Anderson acceleration of the sweep map w -> T(w).
 
-    step(g, f) takes g = T(w) and the residual f = g - w of the latest sweep
-    and returns the next w: g - dG gamma, where the columns of dF and dG are
-    the last ANDERSON_MEMORY differences of consecutive residuals and
-    images, and gamma minimizes |f - dF gamma| in the area-weighted inner
-    product sum_T |T| a_T . b_T.  The Gram matrix dF^T W dF gains one row
-    and column per step.  If it is numerically singular (after scaling to a
-    unit diagonal, a Cholesky pivot below ANDERSON_PIVOT_TOL) or the
-    extrapolate is not finite, step returns g and clears the differences.
+    step(g, f) takes g = T(w) and the residual f = g - w of the latest sweep,
+    flat fields stored component by component, and returns the next w:
+    g - dG gamma, where the columns of dF and dG are the last
+    ANDERSON_MEMORY differences of consecutive residuals and images, and
+    gamma minimizes |f - dF gamma| in the area-weighted inner product
+    sum_T |T| a_T . b_T.  The weighted differences W dF and dG live in
+    buffers allocated at the first difference, and the Gram matrix
+    dF^T W dF, which gains one row and column per step, in Python floats
+    (see _gram_solve).  If it is numerically singular or the extrapolate is
+    not finite, step returns g and clears the differences.
     """
 
     def __init__(self, areas: np.ndarray):
         self._areas = areas
-        self._df = self._dg = None  # allocated at the first difference
-        self._gram = np.empty((ANDERSON_MEMORY, ANDERSON_MEMORY))
+        self._wdf = self._dg = None  # allocated at the first difference
+        self._gram = [[0.0] * ANDERSON_MEMORY for _ in range(ANDERSON_MEMORY)]
         self.depth = 0
         self._slot = 0
         self._last = None
 
     def step(self, g: np.ndarray, f: np.ndarray) -> np.ndarray:
-        g, f = g.T.ravel(), f.T.ravel()
         if self._last is not None:
             self._add_differences(g, f)
         self._last = (g, f)
-        w = self._extrapolate(g, f) if self.depth else g
-        return w.reshape(2, -1).T
-
-    def _weighted(self, v: np.ndarray) -> np.ndarray:
-        """W v for a flat field v stored component by component."""
-        return (v.reshape(2, -1) * self._areas).ravel()
+        return self._extrapolate(g, f) if self.depth else g
 
     def _add_differences(self, g: np.ndarray, f: np.ndarray) -> None:
-        if self._df is None:
-            self._df = np.empty((ANDERSON_MEMORY, len(f)))
-            self._dg = np.empty((ANDERSON_MEMORY, len(g)))
+        if self._wdf is None:
+            self._wdf, self._dg = np.empty((2, ANDERSON_MEMORY, len(f)))
         j = self._slot
-        np.subtract(f, self._last[1], out=self._df[j])
+        df = f - self._last[1]
+        np.multiply(df.reshape(2, -1), self._areas,
+                    out=self._wdf[j].reshape(2, -1))
         np.subtract(g, self._last[0], out=self._dg[j])
         self.depth = min(self.depth + 1, ANDERSON_MEMORY)
         self._slot = (j + 1) % ANDERSON_MEMORY
-        col = self._df[:self.depth] @ self._weighted(self._df[j])
-        self._gram[j, :self.depth] = col
-        self._gram[:self.depth, j] = col
+        for i, c in enumerate((self._wdf[:self.depth] @ df).tolist()):
+            self._gram[i][j] = self._gram[j][i] = c
 
     def _extrapolate(self, g: np.ndarray, f: np.ndarray) -> np.ndarray:
         k = self.depth
-        rhs = self._df[:k] @ self._weighted(f)
-        scale = np.sqrt(self._gram.diagonal()[:k])
-        with np.errstate(all="ignore"):
-            gram = self._gram[:k, :k] / np.outer(scale, scale)
-            try:
-                ok = np.linalg.cholesky(gram).diagonal().min() > \
-                    ANDERSON_PIVOT_TOL
-            except np.linalg.LinAlgError:
-                ok = False
-            if ok:
-                gamma = np.linalg.solve(gram, rhs / scale) / scale
-                w = g - gamma @ self._dg[:k]
-                if np.isfinite(w).all():
-                    return w
+        gamma = _gram_solve(self._gram, (self._wdf[:k] @ f).tolist())
+        if gamma is not None:
+            with np.errstate(all="ignore"):
+                w = g - np.dot(gamma, self._dg[:k])
+            if np.isfinite(w).all():
+                return w
         self.depth = 0
         self._slot = 0
         return g
+
+
+def _gram_solve(gram: list[list[float]],
+                rhs: list[float]) -> list[float] | None:
+    """Solution gamma of the leading k x k block of gram times gamma = rhs,
+    k = len(rhs) <= ANDERSON_MEMORY, in Python floats; None if the block is
+    numerically singular.
+
+    The block is scaled to a unit diagonal and factored by Cholesky; it is
+    singular if a pivot of that factor (the sine of the angle between a
+    difference and the span of the earlier ones) is not above
+    ANDERSON_PIVOT_TOL, or if a diagonal entry is not positive and finite.
+    """
+    k = len(rhs)
+    if not all(0.0 < gram[i][i] < math.inf for i in range(k)):
+        return None
+    scale = [math.sqrt(gram[i][i]) for i in range(k)]
+    chol = [[0.0] * k for _ in range(k)]
+    for i in range(k):
+        ci = chol[i]
+        for j in range(i + 1):
+            cj = chol[j]
+            v = gram[i][j] / scale[i] / scale[j]
+            for m in range(j):
+                v -= ci[m] * cj[m]
+            if i > j:
+                ci[j] = v / cj[j]
+            elif v > 0.0 and math.sqrt(v) > ANDERSON_PIVOT_TOL:
+                ci[i] = math.sqrt(v)
+            else:
+                return None  # a NaN pivot too
+    # forward and back substitution on the scaled system
+    y = [rhs[i] / scale[i] for i in range(k)]
+    for i in range(k):
+        for m in range(i):
+            y[i] -= chol[i][m] * y[m]
+        y[i] /= chol[i][i]
+    for i in reversed(range(k)):
+        for m in range(i + 1, k):
+            y[i] -= chol[m][i] * y[m]
+        y[i] /= chol[i][i]
+    return [y[i] / scale[i] for i in range(k)]

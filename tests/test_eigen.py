@@ -178,6 +178,12 @@ class TestIISS:
         for lambda0 in (0.0, -1.0, float("nan"), float("inf")):
             with pytest.raises(ValueError, match="lambda0"):
                 eigen.iiss(m, 2.0, u0=u0, lambda0=lambda0)
+        # no positive vertex value: the first load would vanish (at p = 2
+        # this was a ZeroDivisionError, at p = 3 a 500-sweep stall)
+        for coeffs in (-u0.coeffs, np.zeros(m.num_vertices)):
+            for p in (2.0, 3.0):
+                with pytest.raises(SolverError, match="no positive vertex"):
+                    eigen.iiss(m, p, u0=P1Function(m, coeffs))
 
     def test_workspace_of_another_mesh_rejected(self):
         # the 2 x 1 rectangle on the triangles of the unit square: with the

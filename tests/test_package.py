@@ -84,6 +84,34 @@ def test_only_fem_reads_the_quadrature_rule():
             assert not read, f"{path.stem} reads DEGREE5"
 
 
+def _row_norm_calls(path: Path) -> set[str]:
+    """Functions of a module that call `linalg.norm` with an axis, by
+    keyword or as its third positional argument."""
+    found = set()
+    for func in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(func):
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "norm"
+                    and isinstance(node.func.value, ast.Attribute)
+                    and node.func.value.attr == "linalg"
+                    and (len(node.args) > 2
+                         or any(k.arg == "axis" for k in node.keywords))):
+                found.add(f"{path.stem}.{func.name}")
+    return found
+
+
+def test_no_row_norms_through_linalg():
+    """Row norms of (n, 2) fields are sqrt(x * x + y * y): the same bits as
+    `np.linalg.norm(..., axis=1)`, which sums the two squares in the same
+    order, without its per-call overhead and temporaries."""
+    package = Path(plapeig.__file__).resolve().parent
+    found = set().union(*map(_row_norm_calls, package.glob("*.py")))
+    assert not found, f"row norms through np.linalg.norm: {sorted(found)}"
+
+
 def _benchmark_spans():
     """plapbench/spans.py, loaded from its file."""
     path = Path(__file__).resolve().parents[1] / "plapbench" / "spans.py"

@@ -96,6 +96,15 @@ class TestResolvent:
                 plap.resolvent_many(np.array([0.5, 2.0]), p)
         with pytest.raises(ValueError):
             plap.resolvent_many(np.array([np.inf]), 2.0)
+        # every exact root and the Newton path check s the same way
+        for p in (1.5, 2.0, 3.0, 7.0):
+            empty = plap.resolvent_many(np.array([]), p)
+            assert empty.shape == (0,) and empty.dtype == np.float64
+            for bad in (np.nan, np.inf, -np.inf, -1e-300):
+                for s in ([bad], [0.5, bad, 2.0], [bad, 0.0], [3.0, bad]):
+                    with pytest.raises(ValueError, match="finite and "
+                                                         "nonnegative"):
+                        plap.resolvent_many(np.array(s), p)
 
 
 class TestNuUpdate:
@@ -240,9 +249,10 @@ class TestDCSolve:
             rep.iterations
 
     def test_singular_history_takes_plain_step(self, rng):
+        # fields are flat, component by component: 2 x 20 triangles
         accel = plap._Anderson(rng.uniform(0.5, 1.0, size=20))
-        g = rng.standard_normal((4, 20, 2))
-        f = rng.standard_normal((20, 2))
+        g = rng.standard_normal((4, 40))
+        f = rng.standard_normal(40)
         assert np.array_equal(accel.step(g[0], f), g[0])
         # residuals f and 2 f: the least-squares weight of the difference
         # is 2, which extrapolates to where the residual vanishes
@@ -256,11 +266,49 @@ class TestDCSolve:
         accel.step(g[3], 5.0 * f)
         assert accel.depth == 1
 
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_gram_solve_matches_lapack(self, k, rng):
+        # unit-diagonal Gram matrices of k random directions, then the same
+        # systems rescaled as the unscaled Gram matrices the sweep builds
+        for _ in range(200):
+            a = rng.standard_normal((12, k))
+            a /= np.sqrt((a * a).sum(axis=0))
+            gram, rhs = a.T @ a, rng.standard_normal(k)
+            np.fill_diagonal(gram, 1.0)
+            ref = np.linalg.solve(gram, rhs)
+            got = plap._gram_solve(gram.tolist(), rhs.tolist())
+            assert np.max(np.abs(np.subtract(got, ref))) <= \
+                1e-13 * np.max(np.abs(ref))
+            d = rng.uniform(1e-3, 1e3, size=k)
+            ref = np.linalg.solve(gram * np.outer(d, d), rhs)
+            got = plap._gram_solve((gram * np.outer(d, d)).tolist(),
+                                   rhs.tolist())
+            assert np.max(np.abs(np.subtract(got, ref))) <= \
+                1e-13 * np.max(np.abs(ref))
+
+    def test_gram_solve_rejects_singular_blocks(self):
+        # two parallel differences, of any lengths
+        for gram in ([[1.0, 1.0], [1.0, 1.0]], [[4.0, -2.0], [-2.0, 1.0]],
+                     [[1.0, 0.5, 1.0], [0.5, 1.0, 0.5], [1.0, 0.5, 1.0]]):
+            assert plap._gram_solve(gram, [1.0] * len(gram)) is None
+        # a pivot just above and just below the tolerance
+        for sine, ok in ((2e-6, True), (5e-7, False)):
+            c = float(np.sqrt(1.0 - sine ** 2))
+            got = plap._gram_solve([[1.0, c], [c, 1.0]], [1.0, 0.0])
+            assert (got is not None) == ok
+        # a zero or non-finite diagonal, a NaN off the diagonal
+        for gram in ([[0.0]], [[np.inf]], [[np.nan]],
+                     [[1.0, np.nan], [np.nan, 1.0]]):
+            assert plap._gram_solve(gram, [1.0] * len(gram)) is None
+        # only the leading k x k block is read
+        assert plap._gram_solve([[4.0, np.nan], [np.nan, np.nan]],
+                                [1.0]) == [0.25]
+
     def test_nonfinite_extrapolate_takes_plain_step(self, rng):
         accel = plap._Anderson(np.ones(5))
-        f0, f1 = rng.standard_normal((2, 5, 2))
-        accel.step(np.zeros((5, 2)), f0)
-        g = np.full((5, 2), np.inf)
+        f0, f1 = rng.standard_normal((2, 10))
+        accel.step(np.zeros(10), f0)
+        g = np.full(10, np.inf)
         w = accel.step(g, f1)
         assert accel.depth == 0 and np.all(w == np.inf)
 
