@@ -16,7 +16,7 @@ from dataclasses import fields
 
 import numpy as np
 
-from . import driver, eigen, estimator, fem, io
+from . import driver, estimator, fem, io, plap
 from .driver import AfemConfig
 from .mesh import edge_table, refine_uniform
 
@@ -146,8 +146,11 @@ def _cmd_mesh(args) -> int:
 def _cmd_solve_plap(args) -> int:
     cfg = args.config
     mesh = driver.initial_mesh(cfg)
-    u, report = eigen.torsion(mesh, cfg.p, eps_n=cfg.eps_n, seed=cfg.seed,
-                              max_dc=cfg.max_dc)
+    u, report = plap.dc_solve(mesh, 1.0, cfg.p, eps_n=cfg.eps_n,
+                              max_iter=cfg.max_dc, seed=cfg.seed)
+    if not report.converged:
+        raise report.stalled(f"torsion solve did not converge within "
+                             f"{cfg.max_dc} sweeps")
     print(f"sweeps={report.iterations} max(u)={np.max(u.coeffs):.8g} "
           f"consistency={report.consistency:.3e}")
     if args.out:

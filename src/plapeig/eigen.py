@@ -4,11 +4,11 @@ Each sweep solves the quasilinear problem -div(|grad u|^{p-2} grad u) = f
 with right-hand side f = (max(u, 0) / ||u||_inf)^{p-1} built from the
 previous iterate and reads off the eigenvalue estimate 1 / ||u||_inf^{p-1}.
 From no iterate the right-hand side is 1, so a cold start's first sweep
-solves for the torsion function (`torsion` alone is the command line's
-solve-plap).  The iteration stops once the relative eigenvalue change drops
-below a tolerance.  The headline eigenvalue reported alongside is the
-Rayleigh quotient of the L^p-normalized iterate, which bounds the
-continuous first eigenvalue from above on conforming meshes.
+solves for the torsion function.  The iteration stops once the relative
+eigenvalue change drops below a tolerance.  The headline eigenvalue
+reported alongside is the Rayleigh quotient of the L^p-normalized iterate,
+which bounds the continuous first eigenvalue from above on conforming
+meshes.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 from . import fem, plap
 from .fem import P1Function, SolverError
 from .mesh import Mesh
-from .plap import DCReport, DCWorkspace, DEFAULT_SEED
+from .plap import DCWorkspace, DEFAULT_SEED
 
 log = logging.getLogger(__name__)
 
@@ -60,30 +60,6 @@ class EigenResult:
     lambda_history: list = field(default_factory=list)
     min_vertex_value: float = 0.0
     fields: tuple[np.ndarray, np.ndarray] | None = None
-
-
-def torsion(mesh: Mesh, p: float, eps_n: float = 1e-5,
-            seed: int = DEFAULT_SEED, max_dc: int = 500
-            ) -> tuple[P1Function, DCReport]:
-    """Solution of -div(|grad u|^{p-2} grad u) = 1 with zero boundary data,
-    with the report of its splitting solve.
-
-    Raises SolverError if the splitting solve does not converge within
-    max_dc sweeps.
-    """
-    u, report = plap.dc_solve(mesh, 1.0, p, eps_n=eps_n, max_iter=max_dc,
-                              seed=seed)
-    if not report.converged:
-        raise _stalled(f"torsion start did not converge within {max_dc} "
-                       f"sweeps", report)
-    return u, report
-
-
-def _stalled(what: str, report: DCReport) -> SolverError:
-    """The error of a splitting solve that missed eps_n, what it was for
-    first."""
-    return SolverError(f"{what} (relative change {report.rel_change:.3e})",
-                       residual=report.rel_change)
 
 
 def _inverse_load(u: P1Function, p: float) -> np.ndarray:
@@ -146,11 +122,11 @@ def iiss(mesh: Mesh, p: float, eps_m: float = 1e-5, max_m: int = 200,
             max_iter=max_dc, init=warm, seed=seed, workspace=ws)
         dc_total += report.iterations
         if not report.converged:
-            raise _stalled(
+            raise report.stalled(
                 f"torsion start did not converge within {max_dc} sweeps"
                 if m == 1 and u0 is None else
                 f"inner splitting solve stalled at sweep m={m}, "
-                f"lambda={lam:.8g}", report)
+                f"lambda={lam:.8g}")
         warm = (report.xi, report.nu)
         min_vertex = min(min_vertex, float(u.coeffs.min()))
         lam_prev, lam = lam, 1.0 / fem.sup_norm(u) ** (p - 1.0)

@@ -3,10 +3,11 @@
 Covers the quadrature rule on the reference triangle, stiffness and load
 assembly, the factorized homogeneous-Dirichlet solve, elementwise gradients,
 and the p-dependent norms building the Rayleigh quotient.  Every element
-integral uses the degree-5 symmetric rule DEGREE5, exact for polynomials of
-degree at most 5.  The one integrand that is no such polynomial in general,
-|u|^p, is integrated by `element_lp` alone, the one approximate integral:
-the L^p norm, the Rayleigh quotient and the estimator's element term read it.
+integral uses the degree-5 symmetric rule DEGREE5_POINTS, DEGREE5_WEIGHTS,
+exact for polynomials of degree at most 5.  The one integrand that is no
+such polynomial in general, |u|^p, is integrated by `element_lp` alone, the
+one approximate integral: the L^p norm, the Rayleigh quotient and the
+estimator's element term read it.
 
 The stiffness and mass matrices are assembled in edge form: the element
 matrices' diagonal entries are summed per vertex and their off-diagonal
@@ -38,38 +39,21 @@ class SolverError(RuntimeError):
         self.residual = residual
 
 
-@dataclass(frozen=True)
-class QuadRule:
-    """Quadrature on the reference triangle in barycentric coordinates.
-
-    Weights sum to one; an integral over a physical triangle T is
-    |T| * sum(w_q * f(x_q)).
-    """
-
-    points: np.ndarray   # (nq, 3) barycentric
-    weights: np.ndarray  # (nq,)
-
-    def __post_init__(self):
-        pts = np.ascontiguousarray(self.points, dtype=np.float64)
-        w = np.ascontiguousarray(self.weights, dtype=np.float64)
-        pts.setflags(write=False)
-        w.setflags(write=False)
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "weights", w)
-
-
-# Symmetric 7-point rule, exact for polynomials of degree 5.
+# Symmetric 7-point rule on the reference triangle, exact for polynomials of
+# degree 5: barycentric points (nq, 3) and weights (nq,) summing to one, so
+# an integral over a triangle T is |T| * sum(w_q * f(x_q)).
 _S15 = np.sqrt(15.0)
 _A1, _B1 = (9.0 + 2.0 * _S15) / 21.0, (6.0 - _S15) / 21.0
 _A2, _B2 = (9.0 - 2.0 * _S15) / 21.0, (6.0 + _S15) / 21.0
 _W1, _W2 = (155.0 - _S15) / 1200.0, (155.0 + _S15) / 1200.0
-DEGREE5 = QuadRule(
-    points=np.array([
-        [1 / 3, 1 / 3, 1 / 3],
-        [_A1, _B1, _B1], [_B1, _A1, _B1], [_B1, _B1, _A1],
-        [_A2, _B2, _B2], [_B2, _A2, _B2], [_B2, _B2, _A2],
-    ]),
-    weights=np.array([9.0 / 40.0, _W1, _W1, _W1, _W2, _W2, _W2]))
+DEGREE5_POINTS = np.array([
+    [1 / 3, 1 / 3, 1 / 3],
+    [_A1, _B1, _B1], [_B1, _A1, _B1], [_B1, _B1, _A1],
+    [_A2, _B2, _B2], [_B2, _A2, _B2], [_B2, _B2, _A2],
+])
+DEGREE5_WEIGHTS = np.array([9.0 / 40.0, _W1, _W1, _W1, _W2, _W2, _W2])
+DEGREE5_POINTS.setflags(write=False)
+DEGREE5_WEIGHTS.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -90,7 +74,7 @@ class P1Function:
 def p1_at_quad(u: P1Function) -> np.ndarray:
     """Values of u at the quadrature points of every triangle, (nt, nq)."""
     nodal = np.take(u.coeffs, u.mesh.triangles)   # (nt, 3)
-    return nodal @ DEGREE5.points.T
+    return nodal @ DEGREE5_POINTS.T
 
 
 def assemble_stiffness(mesh: Mesh) -> sp.csr_matrix:
@@ -174,7 +158,7 @@ def assemble_rhs(mesh: Mesh, f) -> np.ndarray:
 
     f is a constant or its values at the quadrature points, (nt, nq).
     """
-    nt, nq = mesh.num_triangles, len(DEGREE5.weights)
+    nt, nq = mesh.num_triangles, len(DEGREE5_WEIGHTS)
     if np.isscalar(f):
         fq = np.full((nt, nq), float(f))
     else:
@@ -185,7 +169,7 @@ def assemble_rhs(mesh: Mesh, f) -> np.ndarray:
     # int_T f phi_i by quadrature; phi_i at a quad point is its barycentric
     # coordinate.  A matrix product is several times faster here than a
     # three-operand einsum.
-    contrib = ((fq @ (DEGREE5.points * DEGREE5.weights[:, None]))
+    contrib = ((fq @ (DEGREE5_POINTS * DEGREE5_WEIGHTS[:, None]))
                * mesh.areas[:, None])
     return np.bincount(mesh.triangles.ravel(), weights=contrib.ravel(),
                        minlength=mesh.num_vertices)
@@ -302,7 +286,7 @@ def element_lp(u: P1Function, p: float) -> np.ndarray:
     vals = p1_at_quad(u)
     np.abs(vals, out=vals)
     vals **= p
-    return u.mesh.areas * (vals @ DEGREE5.weights)
+    return u.mesh.areas * (vals @ DEGREE5_WEIGHTS)
 
 
 def lp_norm(u: P1Function, p: float) -> float:

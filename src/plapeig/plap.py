@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from . import fem
 from .fem import DirichletFactor, P1Function, SolverError
@@ -163,6 +164,12 @@ class DCReport:
     converged: bool
     xi: np.ndarray
     nu: np.ndarray
+
+    def stalled(self, what: str) -> SolverError:
+        """The error of this solve having missed eps_n, what it was for
+        first."""
+        return SolverError(f"{what} (relative change {self.rel_change:.3e})",
+                           residual=self.rel_change)
 
 
 class DCWorkspace:
@@ -343,15 +350,16 @@ class _Anderson:
     gamma minimizes |f - dF gamma| in the area-weighted inner product
     sum_T |T| a_T . b_T.  The weighted differences W dF and dG live in
     buffers allocated at the first difference, and the Gram matrix
-    dF^T W dF, which gains one row and column per step, in Python floats
-    (see _gram_solve).  If it is numerically singular or the extrapolate is
+    dF^T W dF in an ANDERSON_MEMORY x ANDERSON_MEMORY array whose row and
+    column of the newest difference are rewritten per step (see
+    _gram_solve).  If it is numerically singular or the extrapolate is
     not finite, step returns g and clears the differences.
     """
 
     def __init__(self, areas: np.ndarray):
         self._areas = areas
         self._wdf = self._dg = None  # allocated at the first difference
-        self._gram = [[0.0] * ANDERSON_MEMORY for _ in range(ANDERSON_MEMORY)]
+        self._gram = np.zeros((ANDERSON_MEMORY, ANDERSON_MEMORY))
         self.depth = 0
         self._slot = 0
         self._last = None
@@ -372,12 +380,12 @@ class _Anderson:
         np.subtract(g, self._last[0], out=self._dg[j])
         self.depth = min(self.depth + 1, ANDERSON_MEMORY)
         self._slot = (j + 1) % ANDERSON_MEMORY
-        for i, c in enumerate((self._wdf[:self.depth] @ df).tolist()):
-            self._gram[i][j] = self._gram[j][i] = c
+        k = self.depth
+        self._gram[j, :k] = self._gram[:k, j] = self._wdf[:k] @ df
 
     def _extrapolate(self, g: np.ndarray, f: np.ndarray) -> np.ndarray:
         k = self.depth
-        gamma = _gram_solve(self._gram, (self._wdf[:k] @ f).tolist())
+        gamma = _gram_solve(self._gram, self._wdf[:k] @ f)
         if gamma is not None:
             with np.errstate(all="ignore"):
                 w = g - np.dot(gamma, self._dg[:k])
@@ -388,43 +396,25 @@ class _Anderson:
         return g
 
 
-def _gram_solve(gram: list[list[float]],
-                rhs: list[float]) -> list[float] | None:
+def _gram_solve(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
     """Solution gamma of the leading k x k block of gram times gamma = rhs,
-    k = len(rhs) <= ANDERSON_MEMORY, in Python floats; None if the block is
-    numerically singular.
+    k = len(rhs) <= ANDERSON_MEMORY; None if the block is numerically
+    singular.
 
-    The block is scaled to a unit diagonal and factored by Cholesky; it is
-    singular if a pivot of that factor (the sine of the angle between a
-    difference and the span of the earlier ones) is not above
-    ANDERSON_PIVOT_TOL, or if a diagonal entry is not positive and finite.
+    The block is scaled to a unit diagonal and factored by LAPACK's
+    Cholesky; it is singular if a pivot of that factor (the sine of the
+    angle between a difference and the span of the earlier ones) is not
+    above ANDERSON_PIVOT_TOL, or if a diagonal entry is not positive and
+    finite; a NaN entry fails one of the two.
     """
     k = len(rhs)
-    if not all(0.0 < gram[i][i] < math.inf for i in range(k)):
+    block = np.asarray(gram, dtype=np.float64)[:k, :k]
+    d = block.diagonal()
+    if not (d.min() > 0.0 and d.max() < math.inf):
         return None
-    scale = [math.sqrt(gram[i][i]) for i in range(k)]
-    chol = [[0.0] * k for _ in range(k)]
-    for i in range(k):
-        ci = chol[i]
-        for j in range(i + 1):
-            cj = chol[j]
-            v = gram[i][j] / scale[i] / scale[j]
-            for m in range(j):
-                v -= ci[m] * cj[m]
-            if i > j:
-                ci[j] = v / cj[j]
-            elif v > 0.0 and math.sqrt(v) > ANDERSON_PIVOT_TOL:
-                ci[i] = math.sqrt(v)
-            else:
-                return None  # a NaN pivot too
-    # forward and back substitution on the scaled system
-    y = [rhs[i] / scale[i] for i in range(k)]
-    for i in range(k):
-        for m in range(i):
-            y[i] -= chol[i][m] * y[m]
-        y[i] /= chol[i][i]
-    for i in reversed(range(k)):
-        for m in range(i + 1, k):
-            y[i] -= chol[m][i] * y[m]
-        y[i] /= chol[i][i]
-    return [y[i] / scale[i] for i in range(k)]
+    scale = np.sqrt(d)
+    chol, info = dpotrf(block / np.outer(scale, scale), lower=1)
+    if info or not chol.diagonal().min() > ANDERSON_PIVOT_TOL:
+        return None
+    y, info = dpotrs(chol, np.asarray(rhs) / scale, lower=1)
+    return None if info else y / scale

@@ -174,6 +174,10 @@ class TestMain:
         code = main(["solve-plap", "--domain", "square", "--resolution", "6",
                      "--p", "3", "--max-dc", "2"])
         assert code == 2
+        err = capsys.readouterr().err
+        assert ("solver failure: torsion solve did not converge within 2 "
+                "sweeps") in err
+        assert "Traceback" not in err
 
     def test_unconverged_inverse_iteration_exit_code(self, tmp_path, capsys):
         out = tmp_path / "o"

@@ -15,27 +15,27 @@ TWO_PI_SQ = 2.0 * np.pi ** 2
 class TestTorsion:
     def test_square_p2_max(self):
         m = generate_unit_square(40)
-        u, _ = eigen.torsion(m, 2.0)
+        u, _ = plap.dc_solve(m, 1.0, 2.0)
         exact = oracles.square_torsion_center()
         assert abs(np.max(u.coeffs) - exact) / exact < 0.01
 
     def test_disk_p2_max(self):
         d = generate_disk(9)
-        u, rep = eigen.torsion(d, 2.0)
+        u, rep = plap.dc_solve(d, 1.0, 2.0)
         assert rep.converged and rep.iterations == 3
         assert abs(np.max(u.coeffs) - 0.25) / 0.25 < 0.01
 
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
     def test_nonnegative_vertices(self, p):
         d = generate_disk(6)
-        u, _ = eigen.torsion(d, p)
+        u, _ = plap.dc_solve(d, 1.0, p)
         assert np.min(u.coeffs) >= -1e-10
 
     def test_nonconvergence_raises(self):
         m = generate_unit_square(6)
         with pytest.raises(SolverError,
                            match="^torsion start did not converge"):
-            eigen.torsion(m, 3.0, max_dc=2)
+            eigen.iiss(m, 3.0, max_dc=2)
 
 
 class TestIISS:
@@ -122,7 +122,7 @@ class TestIISS:
 
     def test_fields0_checked(self):
         m = generate_unit_square(4)
-        u0 = P1Function(m, eigen.torsion(m, 3.0)[0].coeffs)
+        u0 = P1Function(m, plap.dc_solve(m, 1.0, 3.0)[0].coeffs)
         nt = m.num_triangles
         bad = (np.zeros((nt - 1, 2)), np.zeros((nt - 1, 2)))
         with pytest.raises(ValueError):
@@ -143,7 +143,7 @@ class TestIISS:
         m = generate_unit_square(6)
         p = 3.0
         res = eigen.iiss(m, p, max_m=1)
-        u, rep = eigen.torsion(m, p)
+        u, rep = plap.dc_solve(m, 1.0, p)
         s = fem.sup_norm(u)
         assert res.iiss_iterations == 1 and not res.converged
         assert res.dc_iterations_total == rep.iterations

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from plapeig import fem, plap
-from plapeig.fem import DEGREE5, P1Function
+from plapeig.fem import DEGREE5_POINTS, DEGREE5_WEIGHTS, P1Function
 from plapeig.mesh import generate_disk, generate_lshape, generate_unit_square, \
     refine
 
@@ -15,16 +15,19 @@ def p1(mesh, coeffs):
 
 class TestQuadrature:
     def test_weights_sum_to_one(self):
-        assert DEGREE5.weights.sum() == pytest.approx(1.0, abs=1e-15)
+        assert DEGREE5_WEIGHTS.sum() == pytest.approx(1.0, abs=1e-15)
+        # the rule is shared module state: read-only
+        assert not DEGREE5_WEIGHTS.flags.writeable
+        assert not DEGREE5_POINTS.flags.writeable
 
     def test_degree5_exactness(self):
         # all monomials x^a y^b with a + b <= 5 against the closed form
-        x = DEGREE5.points[:, 1]
-        y = DEGREE5.points[:, 2]
+        x = DEGREE5_POINTS[:, 1]
+        y = DEGREE5_POINTS[:, 2]
         for a in range(6):
             for b in range(6 - a):
                 exact = oracles.monomial_integral(a, b)
-                approx = 0.5 * np.dot(DEGREE5.weights, x ** a * y ** b)
+                approx = 0.5 * np.dot(DEGREE5_WEIGHTS, x ** a * y ** b)
                 assert approx == pytest.approx(exact, rel=1e-13)
 
     def test_duffy_oracle_is_degree10(self):
@@ -109,7 +112,7 @@ class TestRhs:
 
     def test_linear_load_reference(self, ref_triangle):
         fx = oracles.values_at_points(ref_triangle.vertices,
-                                      ref_triangle.triangles, DEGREE5.points,
+                                      ref_triangle.triangles, DEGREE5_POINTS,
                                       lambda x, y: x)
         b = fem.assemble_rhs(ref_triangle, fx)
         # int x phi_0 = int x (1 - x - y) from exact monomial integrals

@@ -70,18 +70,18 @@ def test_every_import_is_read():
 
 
 def test_only_fem_reads_the_quadrature_rule():
-    """DEGREE5 is read, as a bare name or an attribute, by `fem` alone: how
-    an element integral is taken, |u|^p in `fem.element_lp` above all, is
-    decided in one module.  `__init__.py` only re-exports the name."""
+    """The DEGREE5* arrays are read, as bare names or attributes, by `fem`
+    alone: how an element integral is taken, |u|^p in `fem.element_lp`
+    above all, is decided in one module."""
     package = Path(plapeig.__file__).resolve().parent
     for path in package.glob("*.py"):
         if path.stem == "fem":
             continue
         for node in ast.walk(ast.parse(path.read_text())):
-            read = ((isinstance(node, ast.Name) and node.id == "DEGREE5")
-                    or (isinstance(node, ast.Attribute)
-                        and node.attr == "DEGREE5"))
-            assert not read, f"{path.stem} reads DEGREE5"
+            name = (node.id if isinstance(node, ast.Name) else
+                    node.attr if isinstance(node, ast.Attribute) else "")
+            assert not name.startswith("DEGREE5"), \
+                f"{path.stem} reads {name}"
 
 
 def _row_norm_calls(path: Path) -> set[str]:
@@ -164,11 +164,26 @@ def test_every_export_has_a_reader_in_the_package():
     assert not unread, f"exported but read by no package module: {unread}"
 
 
+def _public_definitions(node: ast.stmt) -> list[str]:
+    """Public names that a module-level statement defines: a function, a
+    class, or the names an assignment binds."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        names = [node.name]
+    elif isinstance(node, ast.Assign):
+        names = [n.id for t in node.targets for n in ast.walk(t)
+                 if isinstance(n, ast.Name)]
+    elif isinstance(node, ast.AnnAssign):
+        names = [node.target.id]
+    else:
+        names = []
+    return [name for name in names if not name.startswith("_")]
+
+
 def test_every_public_definition_has_a_reader_in_the_package():
-    """Each public module-level function and class, exported or not, is
-    read by package code or is a name the benchmark's tracer patches
-    (`FUNCTIONS` and `METHODS` of plapbench/spans.py): one that only tests
-    call belongs in tests/oracles.py."""
+    """Each public module-level function, class and assigned name, exported
+    or not, is read by package code or is a name the benchmark's tracer
+    patches (`FUNCTIONS` and `METHODS` of plapbench/spans.py): one that only
+    tests read belongs in tests/oracles.py."""
     spans = _benchmark_spans()
     hooks = ({(module, attr) for _, module, attr in spans.FUNCTIONS}
              | {(module, cls) for _, module, cls, _ in spans.METHODS})
@@ -178,9 +193,8 @@ def test_every_public_definition_has_a_reader_in_the_package():
     for path in package.glob("*.py"):
         module = f"plapeig.{path.stem}"
         for node in ast.parse(path.read_text()).body:
-            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    and not node.name.startswith("_")
-                    and node.name not in loaded
-                    and (module, node.name) not in hooks):
-                unread.add(f"{path.stem}.{node.name}")
+            unread.update(f"{path.stem}.{name}"
+                          for name in _public_definitions(node)
+                          if name not in loaded
+                          and (module, name) not in hooks)
     assert not unread, f"defined but read by no package module: {unread}"

@@ -266,6 +266,29 @@ class TestDCSolve:
         accel.step(g[3], 5.0 * f)
         assert accel.depth == 1
 
+    def test_extrapolate_matches_least_squares_after_wrap(self, rng):
+        # non-uniform areas; ten steps wrap the difference slots twice past
+        # ANDERSON_MEMORY, so the Gram matrix is updated in place
+        areas = rng.uniform(0.1, 2.0, size=20)
+        root_w = np.sqrt(np.tile(areas, 2))
+        accel = plap._Anderson(areas)
+        gs, fs = [], []
+        for n in range(10):
+            g, f = rng.standard_normal((2, 40))
+            gs.append(g)
+            fs.append(f)
+            w = accel.step(g, f)
+            k = min(n, plap.ANDERSON_MEMORY)
+            assert accel.depth == k
+            ref = g
+            if k:
+                df = np.diff(fs[-k - 1:], axis=0).T
+                dg = np.diff(gs[-k - 1:], axis=0).T
+                gamma = np.linalg.lstsq(root_w[:, None] * df, root_w * f,
+                                        rcond=None)[0]
+                ref = g - dg @ gamma
+            assert np.max(np.abs(w - ref)) <= 1e-12 * np.max(np.abs(ref))
+
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_gram_solve_matches_lapack(self, k, rng):
         # unit-diagonal Gram matrices of k random directions, then the same
