@@ -15,8 +15,8 @@ from .mesh import (Mesh, EdgeTable, MeshConformityError, check_conforming,
                    refine_uniform)
 from .fem import (DirichletFactor, P1Function, SolverError, assemble_rhs,
                   grad, lp_norm, p_flux, rayleigh, sup_norm, w1p_seminorm_p)
-from .plap import (DCReport, DCWorkspace, dc_solve, nu_update, random_fields,
-                   resolvent_many)
+from .plap import (DCReport, DCWorkspace, consistency, dc_solve, nu_update,
+                   random_fields, resolvent_many)
 from .eigen import EigenResult, iiss
 from .estimator import IndicatorSet, dorfler_mark, estimate_all
 from .driver import AfemConfig, ConvergenceLog, initial_mesh, run_afem
@@ -31,8 +31,8 @@ __all__ = [
     "prolong_vertex_values", "refine", "refine_uniform",
     "DirichletFactor", "P1Function", "SolverError", "assemble_rhs", "grad",
     "lp_norm", "p_flux", "rayleigh", "sup_norm", "w1p_seminorm_p",
-    "DCReport", "DCWorkspace", "dc_solve", "nu_update", "random_fields",
-    "resolvent_many",
+    "DCReport", "DCWorkspace", "consistency", "dc_solve", "nu_update",
+    "random_fields", "resolvent_many",
     "EigenResult", "iiss",
     "IndicatorSet", "dorfler_mark", "estimate_all",
     "AfemConfig", "ConvergenceLog", "initial_mesh", "run_afem",

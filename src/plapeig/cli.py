@@ -152,7 +152,7 @@ def _cmd_solve_plap(args) -> int:
         raise report.stalled(f"torsion solve did not converge within "
                              f"{cfg.max_dc} sweeps")
     print(f"sweeps={report.iterations} max(u)={np.max(u.coeffs):.8g} "
-          f"consistency={report.consistency:.3e}")
+          f"consistency={plap.consistency(u, report.w, cfg.p):.3e}")
     if args.out:
         io.write_vtk(mesh, u, args.out)
         print(f"solution -> {args.out}")

@@ -55,10 +55,10 @@ class AfemConfig:
     cells-per-unit-length of the structured generators (bisection rounds for
     the disk) and is ignored for file meshes.  seed draws the random
     auxiliary fields of the level-0 torsion start; every later level starts
-    from the previous level's eigenfunction, eigenvalue and fields.  eps_m
-    is the inverse iteration's tolerance on the final level; earlier levels
-    of run_afem stop at the balanced tolerance of the module docstring,
-    which is never tighter.
+    from the previous level's eigenfunction, eigenvalue and splitting state
+    w.  eps_m is the inverse iteration's tolerance on the final level;
+    earlier levels of run_afem stop at the balanced tolerance of the module
+    docstring, which is never tighter.
     """
 
     domain: str
@@ -121,7 +121,7 @@ def initial_mesh(config: AfemConfig) -> Mesh:
 def eigensolve(config: AfemConfig, mesh: Mesh, eps_m: float,
                **warm) -> eigen.EigenResult:
     """`eigen.iiss` on mesh to eps_m, with the other tolerances, the caps
-    and the seed of config, from warm (iiss's u0, lambda0, fields0 and
+    and the seed of config, from warm (iiss's u0, lambda0, w0 and
     workspace, or nothing); raises SolverError unless the inverse iteration
     converged."""
     res = eigen.iiss(mesh, config.p, eps_m=eps_m,
@@ -177,8 +177,8 @@ def run_afem(config: AfemConfig) -> ConvergenceLog:
 
 def _loop(config: AfemConfig, k: int, mesh: Mesh, warm: dict,
           result: ConvergenceLog, vtk_blocks: dict):
-    """Loop k of run_afem on mesh, from warm (iiss's u0, lambda0 and
-    fields0; empty at level 0): solve to the level's tolerance (finished at
+    """Loop k of run_afem on mesh, from warm (iiss's u0, lambda0 and w0;
+    empty at level 0): solve to the level's tolerance (finished at
     eps_m if the run stops by eps_k), estimate, log, write mesh_<k>.vtk,
     and unless the run stops, mark and refine.  Returns the eigenfunction
     as (vertices, triangles, coefficients) and None if the run stops, else
@@ -200,7 +200,7 @@ def _loop(config: AfemConfig, k: int, mesh: Mesh, warm: dict,
         if eps_m > config.eps_m:  # the last level: finish it at eps_m
             res = eigensolve(config, mesh, config.eps_m, workspace=ws,
                              u0=res.u_sup, lambda0=res.lambda_iiss,
-                             fields0=res.fields)
+                             w0=res.w)
             iters += res.iiss_iterations
             dc_iters += res.dc_iterations_total
     elif k >= config.max_loops:
@@ -236,5 +236,4 @@ def _loop(config: AfemConfig, k: int, mesh: Mesh, warm: dict,
     # piecewise constants transfer exactly to nested children
     return final, (fine, dict(
         u0=P1Function(fine, prolong_vertex_values(fine, res.u_sup.coeffs)),
-        lambda0=res.lambda_iiss,
-        fields0=tuple(np.take(f, fine.parent, axis=0) for f in res.fields)))
+        lambda0=res.lambda_iiss, w0=np.take(res.w, fine.parent, axis=0)))

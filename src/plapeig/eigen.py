@@ -4,8 +4,9 @@ Each sweep solves the quasilinear problem -div(|grad u|^{p-2} grad u) = f
 with right-hand side f = (max(u, 0) / ||u||_inf)^{p-1} built from the
 previous iterate and reads off the eigenvalue estimate 1 / ||u||_inf^{p-1}.
 From no iterate the right-hand side is 1, so a cold start's first sweep
-solves for the torsion function.  The iteration stops once the relative
-eigenvalue change drops below a tolerance.  The headline eigenvalue
+solves for the torsion function; each later inner solve starts from the
+splitting state w of the one before.  The iteration stops once the
+relative eigenvalue change drops below a tolerance.  The headline eigenvalue
 reported alongside is the Rayleigh quotient of the L^p-normalized iterate,
 which bounds the continuous first eigenvalue from above on conforming
 meshes.
@@ -45,9 +46,9 @@ class EigenResult:
     converged           eigenvalue change fell below tolerance
     lambda_history      lambda0 if given, then lambda after every sweep
     min_vertex_value    most negative vertex value seen across iterates
-    fields              (xi, nu), the auxiliary fields of the last inner
-                        solve, each (nt, 2); mapped through Mesh.parent they
-                        warm-start the first inner solve on a refinement
+    w                   splitting state of the last inner solve, (nt, 2);
+                        mapped through Mesh.parent it warm-starts the first
+                        inner solve on a refinement
     """
 
     lambda_iiss: float
@@ -59,7 +60,7 @@ class EigenResult:
     converged: bool
     lambda_history: list = field(default_factory=list)
     min_vertex_value: float = 0.0
-    fields: tuple[np.ndarray, np.ndarray] | None = None
+    w: np.ndarray | None = None
 
 
 def _inverse_load(u: P1Function, p: float) -> np.ndarray:
@@ -75,7 +76,7 @@ def _inverse_load(u: P1Function, p: float) -> np.ndarray:
 def iiss(mesh: Mesh, p: float, eps_m: float = 1e-5, max_m: int = 200,
          eps_n: float = 1e-5, seed: int = DEFAULT_SEED, max_dc: int = 500,
          u0: P1Function | None = None, lambda0: float | None = None,
-         fields0: tuple[np.ndarray, np.ndarray] | None = None,
+         w0: np.ndarray | None = None,
          workspace: DCWorkspace | None = None) -> EigenResult:
     """Inverse power iteration for the first eigenpair.
 
@@ -84,15 +85,14 @@ def iiss(mesh: Mesh, p: float, eps_m: float = 1e-5, max_m: int = 200,
     solves the load 1: the torsion start.  With u0 the iteration proceeds
     from u0, which needs a positive vertex value (else SolverError); this
     is how the adaptive driver warm-starts on refined meshes.  lambda0,
-    the eigenvalue of the iterate before the first sweep, seeds the
-    stopping test; without it the first sweep cannot stop.  The first
-    inner solve starts from fields0, an (xi, nu) pair of (nt, 2) arrays,
-    or else from the random fields drawn from seed; every later inner
-    solve reuses the previous solve's auxiliary fields.  All
-    solves of a call share one DCWorkspace of the mesh: workspace if
-    given, else one built here.  A caller that keeps workspace can continue
-    the iteration from the result (u0=u_sup, lambda0=lambda_iiss,
-    fields0=fields) at a tighter eps_m on the same LU factor.
+    the eigenvalue of u0 (ValueError without u0), seeds the stopping test;
+    without it the first sweep cannot stop.  The first inner solve starts
+    from the splitting state w0, an (nt, 2) field, or else from the random
+    fields drawn from seed; every later inner solve starts from the
+    previous solve's state.  All solves of a call share one DCWorkspace of
+    the mesh: workspace if given, else one built here.  A caller that keeps
+    workspace can continue the iteration from the result (u0=u_sup,
+    lambda0=lambda_iiss, w0=w) at a tighter eps_m on the same LU factor.
     """
     if not 0 < eps_m < math.inf:
         raise ValueError("eps_m must be finite and positive")
@@ -100,6 +100,8 @@ def iiss(mesh: Mesh, p: float, eps_m: float = 1e-5, max_m: int = 200,
         raise ValueError("max_m must be at least 1")
     if lambda0 is not None and not 0 < lambda0 < math.inf:
         raise ValueError("lambda0 must be finite and positive")
+    if lambda0 is not None and u0 is None:
+        raise ValueError("lambda0 is the eigenvalue of u0 and needs it")
     u, min_vertex = u0, math.inf
     if u0 is not None:
         if u0.mesh is not mesh:
@@ -114,7 +116,7 @@ def iiss(mesh: Mesh, p: float, eps_m: float = 1e-5, max_m: int = 200,
     lam = math.nan if lambda0 is None else float(lambda0)
     history = [] if lambda0 is None else [lam]
     dc_total = 0
-    warm = fields0
+    warm = w0
     converged = False
     for m in range(1, max_m + 1):
         u, report = plap.dc_solve(
@@ -127,7 +129,7 @@ def iiss(mesh: Mesh, p: float, eps_m: float = 1e-5, max_m: int = 200,
                 if m == 1 and u0 is None else
                 f"inner splitting solve stalled at sweep m={m}, "
                 f"lambda={lam:.8g}")
-        warm = (report.xi, report.nu)
+        warm = report.w
         min_vertex = min(min_vertex, float(u.coeffs.min()))
         lam_prev, lam = lam, 1.0 / fem.sup_norm(u) ** (p - 1.0)
         history.append(float(lam))
@@ -156,5 +158,5 @@ def iiss(mesh: Mesh, p: float, eps_m: float = 1e-5, max_m: int = 200,
         converged=converged,
         lambda_history=history,
         min_vertex_value=min_vertex,
-        fields=warm,
+        w=warm,
     )

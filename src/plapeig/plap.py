@@ -9,7 +9,8 @@ P1 trial functions.
 
 After a sweep the state is the single field w = xi + grad u (nu = R(w) by
 the resolvent and xi = w - nu), so the iteration is a fixed-point map
-w -> T(w).  dc_solve accelerates it with type-II Anderson acceleration
+w -> T(w), and w is all that one solve hands the next as its start.
+dc_solve accelerates it with type-II Anderson acceleration
 (Walker & Ni, SIAM J. Numer. Anal. 2011) over the last ANDERSON_MEMORY
 sweeps, falling back to the plain sweep whenever the least-squares problem
 is singular.  Sweeps work in interior-vertex coordinates with operators
@@ -100,8 +101,6 @@ def _resolvent_newton(s: np.ndarray, p: float) -> np.ndarray:
     """
     r = np.zeros_like(s)
     active = s > 0.0
-    if not active.any():
-        return r
     sv = s[active]
     hi = sv.copy()
     np.power(sv, 1.0 / (p - 1.0), out=hi, where=(sv < 1.0) == (p < 2.0))
@@ -151,19 +150,16 @@ def nu_update(w: np.ndarray, p: float) -> np.ndarray:
 class DCReport:
     """Diagnostics of a decomposition-coordination run.
 
-    consistency is the elementwise L^q mismatch between the coordination
-    field xi and the flux |grad u|^{p-2} grad u of the final iterate,
-    computed once after the last sweep; at the fixed point it vanishes.
-    xi and nu are the final auxiliary fields, reusable as a warm start for
-    a follow-up solve on the same mesh.
+    w is the splitting state of the last plain image T(w), an (nt, 2)
+    field: the start of a follow-up solve on the same mesh, or, through
+    Mesh.parent, on a refinement; consistency(u, w, p) measures it against
+    the returned solution u.
     """
 
     iterations: int
     rel_change: float
-    consistency: float
     converged: bool
-    xi: np.ndarray
-    nu: np.ndarray
+    w: np.ndarray
 
     def stalled(self, what: str) -> SolverError:
         """The error of this solve having missed eps_n, what it was for
@@ -215,10 +211,9 @@ class DCWorkspace:
 
     def g_load(self, g: np.ndarray) -> np.ndarray:
         """Load vector of the field term on the interior vertices:
-        -sum_T |T| g_T . grad(phi_i), for an (nt, 2) field g.  A field in
-        Fortran order, as the sweep keeps them, is weighted without a
-        layout copy."""
-        return -(self._div @ (g.T * self.mesh.areas).ravel())
+        -sum_T |T| g_T . grad(phi_i), for a flat field g of length 2 nt
+        stored component by component, as the sweep keeps them."""
+        return -(self._div @ (g.reshape(2, -1) * self.mesh.areas).ravel())
 
 
 def random_fields(mesh: Mesh, seed: int = DEFAULT_SEED) -> tuple[np.ndarray, np.ndarray]:
@@ -232,22 +227,21 @@ def random_fields(mesh: Mesh, seed: int = DEFAULT_SEED) -> tuple[np.ndarray, np.
 
 
 def dc_solve(mesh: Mesh, f, p: float, eps_n: float = 1e-5, max_iter: int = 500,
-             init: tuple[np.ndarray, np.ndarray] | None = None,
-             seed: int = DEFAULT_SEED,
+             init: np.ndarray | None = None, seed: int = DEFAULT_SEED,
              workspace: DCWorkspace | None = None) -> tuple[P1Function, DCReport]:
     """Decomposition-coordination solve of the p-Laplacian Dirichlet problem.
 
     Iterates until the relative L2 change of the solution drops below eps_n
     (checked from the second sweep on; the change is taken as absolute if the
     previous iterate vanishes).  Hitting max_iter returns a report with
-    converged=False rather than raising; the caller decides.  The report's
-    consistency residual belongs to the final iterate and is computed once,
-    after the last sweep.
+    converged=False rather than raising; the caller decides.
 
     f is the load: a constant, or the load vector b_i = int f phi_i on all
-    vertices as `fem.assemble_rhs` returns it.  init supplies the starting
-    fields (xi, nu); by default they are drawn from the seeded generator of
-    random_fields.
+    vertices as `fem.assemble_rhs` returns it.  init is the starting state
+    w, an (nt, 2) field, such as the w of an earlier report: the first
+    sweep forms nu = R(w) and xi = w - nu from it.  Without init the first
+    sweep starts from the fields (xi, nu) of random_fields, drawn from
+    seed.
 
     Sweeps 1 to 3 are plain; from then on each sweep starts from the
     Anderson extrapolate of the earlier images T(w) (see _Anderson), so a
@@ -257,8 +251,8 @@ def dc_solve(mesh: Mesh, f, p: float, eps_n: float = 1e-5, max_iter: int = 500,
     transpose and the interior mass matrix (M x is carried to the next
     sweep's stopping test), and the extrapolation's few inner products.
     A sweep whose load repeats the last one bit for bit (every sweep after
-    the first at p = 2) reuses the last solution instead of solving.  The
-    report's xi and nu are the fields of the last plain image T(w).
+    the first at p = 2) reuses the last solution instead of solving.
+    Nothing is evaluated after the last sweep.
     """
     if not 1 < p < math.inf:
         raise ValueError("p must exceed 1 and be finite")
@@ -272,17 +266,17 @@ def dc_solve(mesh: Mesh, f, p: float, eps_n: float = 1e-5, max_iter: int = 500,
     nt = mesh.num_triangles
 
     # Fields are flat vectors of length 2 nt stored component by component,
-    # the row order of ws.grad; field(v) is their (nt, 2) view, in Fortran
-    # order.  Every field operation of a sweep runs over contiguous memory
-    # and copies no layout.
-    def field(v: np.ndarray) -> np.ndarray:
-        return v.reshape(2, nt).T
-
-    xi, nu = (np.array(a, dtype=np.float64, order="F")
-              for a in (random_fields(mesh, seed) if init is None else init))
-    if xi.shape != (nt, 2) or nu.shape != (nt, 2):
-        raise ValueError("init fields must have one 2-vector per triangle")
-    xi, nu = xi.T.ravel(), nu.T.ravel()
+    # the row order of ws.grad; v.reshape(2, nt).T is their (nt, 2) view,
+    # in Fortran order.  Every field operation of a sweep runs over
+    # contiguous memory and copies no layout.
+    if init is None:
+        xi, nu = (a.T.ravel() for a in random_fields(mesh, seed))
+        w = None
+    else:
+        w = np.asarray(init, dtype=np.float64)
+        if w.shape != (nt, 2):
+            raise ValueError("init must have one 2-vector per triangle")
+        w = w.T.ravel()
 
     if np.isscalar(f):
         f = fem.assemble_rhs(mesh, f)
@@ -290,16 +284,16 @@ def dc_solve(mesh: Mesh, f, p: float, eps_n: float = 1e-5, max_iter: int = 500,
         raise ValueError("load vector must have one entry per vertex")
     b_f = np.asarray(f, dtype=np.float64)[ws.factor.idx]
     accel = _Anderson(mesh.areas)
-    x = mx = w = load = None
+    x = mx = load = None
     n = 0
     rel_change = np.inf
     converged = False
     while n < max_iter:
         n += 1
         if w is not None:
-            nu = nu_update(field(w), p).T.ravel()
+            nu = nu_update(w.reshape(2, nt).T, p).T.ravel()
             xi = w - nu
-        new_load = b_f + ws.g_load(field(xi - nu))
+        new_load = b_f + ws.g_load(xi - nu)
         # At p = 2 the resolvent halves w, so xi - nu vanishes after every
         # sweep and the next load repeats the last one bit for bit; its
         # solution, gradient and M x are then those of the last sweep.
@@ -319,25 +313,29 @@ def dc_solve(mesh: Mesh, f, p: float, eps_n: float = 1e-5, max_iter: int = 500,
                 converged = True
                 break
         x, mx = x_new, mx_new
-        w = tw if w is None else accel.step(tw, tw - w)
+        # the history starts at sweep 2, also from a given start
+        w = tw if n == 1 else accel.step(tw, tw - w)
 
     if not converged:
         log.warning("dc_solve hit max_iter=%d at relative change %.3e",
                     max_iter, rel_change)
 
-    nu = nu_update(field(tw), p)
-    xi = field(tw) - nu
-    q = p / (p - 1.0)
-    e = xi - fem.p_flux(field(gu), p)
-    ex, ey = e[:, 0], e[:, 1]
-    mismatch = np.sqrt(ex * ex + ey * ey)
-    consistency = float(np.dot(mesh.areas, mismatch ** q) ** (1.0 / q))
     coeffs = np.zeros(mesh.num_vertices)
     coeffs[ws.factor.idx] = x_new
     report = DCReport(iterations=n, rel_change=float(rel_change),
-                      consistency=consistency, converged=converged,
-                      xi=xi, nu=nu)
+                      converged=converged, w=tw.reshape(2, nt).T)
     return P1Function(mesh, coeffs), report
+
+
+def consistency(u: P1Function, w: np.ndarray, p: float) -> float:
+    """Elementwise L^q mismatch, q = p / (p - 1), between the coordination
+    field xi = w - R(w) and the flux |grad u|^{p-2} grad u, for the solution
+    u and state w of one dc_solve; it vanishes at the fixed point."""
+    e = w - nu_update(w, p) - fem.p_flux(fem.grad(u), p)
+    ex, ey = e[:, 0], e[:, 1]
+    mismatch = np.sqrt(ex * ex + ey * ey)
+    q = p / (p - 1.0)
+    return float(np.dot(u.mesh.areas, mismatch ** q) ** (1.0 / q))
 
 
 class _Anderson:

@@ -12,6 +12,7 @@ from math import factorial
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.optimize import minimize
 
 from plapeig import fem, plap
 from plapeig.driver import ConvergenceLog, LogRow
@@ -302,10 +303,11 @@ def interior_edges_two_sorts(mesh):
 def dc_sweep_plain(mesh, f, p: float, eps_n: float, max_iter: int,
                    seed: int = plap.DEFAULT_SEED, init=None):
     """The decomposition-coordination iteration without acceleration, on
-    full vertex vectors, from the fields init = (xi, nu) or else the seeded
-    random fields; returns (vertex values, sweeps) at the first sweep whose
-    relative L2 change of u is below eps_n (None for the values if max_iter
-    is reached).  Every sweep solves.
+    full vertex vectors, from the state init = w (nu = nu_update(w, p),
+    xi = w - nu) or else the seeded random fields (xi, nu); returns
+    (vertex values, sweeps) at the first sweep whose relative L2 change of
+    u is below eps_n (None for the values if max_iter is reached).  Every
+    sweep solves.
 
     Each sweep solves K u = b_f - div(xi - nu) with the package's
     factorization, then sets w = xi + grad u, nu = nu_update(w, p),
@@ -318,7 +320,11 @@ def dc_sweep_plain(mesh, f, p: float, eps_n: float, max_iter: int,
     mass = scatter_assembly(mesh, mass_local(mesh))
     weighted = mesh.areas[:, None, None] * mesh.basis_gradients  # (nt, 3, 2)
     b_f = fem.assemble_rhs(mesh, f)
-    xi, nu = plap.random_fields(mesh, seed) if init is None else init
+    if init is None:
+        xi, nu = plap.random_fields(mesh, seed)
+    else:
+        nu = plap.nu_update(init, p)
+        xi = init - nu
     u_prev = None
     for n in range(1, max_iter + 1):
         b = b_f.copy()
@@ -347,6 +353,58 @@ def square_cheeger_bound(p: float) -> float:
     a = 4.0 - np.pi
     r = min(np.roots([a, -4.0, 1.0]).real)
     return (1.0 / (r * p)) ** p
+
+
+def rayleigh_minimum(mesh, p: float) -> float:
+    """Minimum of the package's discrete Rayleigh quotient over the P1
+    functions that vanish on the boundary: the discrete first eigenvalue,
+    computed with no solver code.
+
+    R(c) = sum_T |T| |grad u|^p / sum_T |T| sum_q w_q |u(x_q)|^p on the
+    interior coefficients c, with the degree-5 rule fem.DEGREE5_POINTS and
+    DEGREE5_WEIGHTS that fem.element_lp uses.  Its gradient is exact:
+    p |T| |grad u|^{p-2} grad u . grad(phi_i) for the numerator and
+    p |T| sum_q w_q |u_q|^{p-2} u_q phi_i(x_q) for the denominator.
+    L-BFGS-B (maxcor 30, ftol 1e-16, gtol 1e-12) starts from 1 on every
+    interior vertex.  Gradients of the hat functions come from the edge
+    vectors, as in stiffness_local."""
+    tri = mesh.triangles
+    pts = mesh.vertices[tri]
+    edges = np.stack([pts[:, (i + 2) % 3] - pts[:, (i + 1) % 3]
+                      for i in range(3)], axis=1)  # (nt, 3, 2)
+    area2 = edges[:, 2, 0] * edges[:, 0, 1] - edges[:, 2, 1] * edges[:, 0, 0]
+    hat = np.stack((-edges[..., 1], edges[..., 0]), axis=-1) \
+        / area2[:, None, None]  # grad(phi_i), (nt, 3, 2)
+    area = 0.5 * area2
+    bary, weights = fem.DEGREE5_POINTS, fem.DEGREE5_WEIGHTS
+    interior = np.nonzero(~mesh.boundary_vertex)[0]
+    nv = mesh.num_vertices
+
+    def quotient(c):
+        u = np.zeros(nv)
+        u[interior] = c
+        ut = u[tri]  # (nt, 3)
+        g = np.einsum("ti,tid->td", ut, hat)
+        gn = np.sqrt((g * g).sum(axis=1))
+        vals = ut @ bary.T  # (nt, nq)
+        av = np.abs(vals)
+        num = float(area @ gn ** p)
+        den = float(area @ (av ** p @ weights))
+        # |g|^{p-2} g and |v|^{p-2} v, zero where g or v vanishes
+        gs = np.zeros_like(gn)
+        np.power(gn, p - 2.0, out=gs, where=gn > 0.0)
+        dnum = p * np.einsum("t,td,tid->ti", area * gs, g, hat)
+        vs = np.sign(vals) * av ** (p - 1.0)
+        dden = p * area[:, None] * ((vs * weights) @ bary)  # (nt, 3)
+        grad = np.bincount(tri.ravel(), weights=(dnum - num / den * dden)
+                           .ravel(), minlength=nv) / den
+        return num / den, grad[interior]
+
+    res = minimize(quotient, np.ones(len(interior)), jac=True,
+                   method="L-BFGS-B",
+                   options={"maxcor": 30, "ftol": 1e-16, "gtol": 1e-12,
+                            "maxiter": 15000, "maxfun": 30000})
+    return float(res.fun)
 
 
 #: mu of `iiss` on generate_unit_square(8) with the default seed, converged

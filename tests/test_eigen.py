@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from plapeig import eigen, fem, plap
 from plapeig.fem import P1Function, SolverError
@@ -102,9 +103,7 @@ class TestIISS:
     def test_fields_are_last_auxiliary_fields(self):
         m = generate_unit_square(6)
         res = eigen.iiss(m, 3.0)
-        xi, nu = res.fields
-        assert xi.shape == (m.num_triangles, 2)
-        assert nu.shape == (m.num_triangles, 2)
+        assert res.w.shape == (m.num_triangles, 2)
 
     def test_coarse_fields_warm_start_the_refined_solve(self):
         coarse = generate_unit_square(8)
@@ -113,8 +112,7 @@ class TestIISS:
         u0 = P1Function(fine, prolong_vertex_values(fine, res_c.u_sup.coeffs))
         plain = eigen.iiss(fine, 3.0, u0=u0, lambda0=res_c.lambda_iiss)
         carried = eigen.iiss(fine, 3.0, u0=u0, lambda0=res_c.lambda_iiss,
-                             fields0=tuple(f[fine.parent]
-                                           for f in res_c.fields))
+                             w0=res_c.w[fine.parent])
         assert carried.converged and plain.converged
         assert carried.dc_iterations_total < plain.dc_iterations_total
         assert carried.mu_rayleigh == pytest.approx(plain.mu_rayleigh,
@@ -124,14 +122,14 @@ class TestIISS:
         m = generate_unit_square(4)
         u0 = P1Function(m, plap.dc_solve(m, 1.0, 3.0)[0].coeffs)
         nt = m.num_triangles
-        bad = (np.zeros((nt - 1, 2)), np.zeros((nt - 1, 2)))
+        bad = np.zeros((nt - 1, 2))
         with pytest.raises(ValueError):
-            eigen.iiss(m, 3.0, u0=u0, fields0=bad)
-        good = (np.zeros((nt, 2)), np.zeros((nt, 2)))
+            eigen.iiss(m, 3.0, u0=u0, w0=bad)
+        good = np.zeros((nt, 2))
         with pytest.raises(ValueError):
-            eigen.iiss(m, 3.0, fields0=bad)
-        # without u0, fields0 starts the torsion sweep
-        seeded = eigen.iiss(m, 3.0, fields0=good, max_m=1)
+            eigen.iiss(m, 3.0, w0=bad)
+        # without u0, w0 starts the torsion sweep
+        seeded = eigen.iiss(m, 3.0, w0=good, max_m=1)
         u, rep = plap.dc_solve(m, 1.0, 3.0, init=good)
         assert seeded.dc_iterations_total == rep.iterations
         assert np.array_equal(seeded.u_sup.coeffs,
@@ -178,6 +176,10 @@ class TestIISS:
         for lambda0 in (0.0, -1.0, float("nan"), float("inf")):
             with pytest.raises(ValueError, match="lambda0"):
                 eigen.iiss(m, 2.0, u0=u0, lambda0=lambda0)
+        # a cold start has no iterate for lambda0 to belong to; set to the
+        # torsion solve's eigenvalue, it would let that first sweep stop
+        with pytest.raises(ValueError, match="lambda0 .* needs it"):
+            eigen.iiss(m, 2.0, lambda0=1.0)
         # no positive vertex value: the first load would vanish (at p = 2
         # this was a ZeroDivisionError, at p = 3 a 500-sweep stall)
         for coeffs in (-u0.coeffs, np.zeros(m.num_vertices)):
@@ -228,3 +230,31 @@ class TestExponentRange:
         res = eigen.iiss(generate_unit_square(8), p)
         tight = oracles.SQUARE8_TIGHT_MU[p]
         assert abs(res.mu_rayleigh - tight) <= rel * tight
+
+
+class TestDiscreteMinimum:
+    """iiss against the minimum of the discrete Rayleigh quotient, which
+    oracles.rayleigh_minimum computes without the package's solvers."""
+
+    @pytest.mark.parametrize("p", [3.0, 8.0])
+    def test_oracle_reproduces_tight_mu(self, p):
+        mn = oracles.rayleigh_minimum(generate_unit_square(8), p)
+        tight = oracles.SQUARE8_TIGHT_MU[p]
+        assert abs(mn - tight) <= 1e-12 * tight
+
+    def test_oracle_is_the_dense_eigenvalue_at_p2(self):
+        m = generate_unit_square(8)
+        stiffness, mass = oracles.interior_blocks(m)
+        lam = scipy.linalg.eigh(stiffness.toarray(), mass.toarray(),
+                                eigvals_only=True)[0]
+        assert abs(oracles.rayleigh_minimum(m, 2.0) - lam) <= 1e-12 * lam
+
+    # measured gaps (mu - min) / min at the default seed: 1.9e-12, 1.2e-13,
+    # 3.6e-11 and 7.2e-7
+    @pytest.mark.parametrize("p,rel", [(1.5, 1e-11), (2.0, 1e-12),
+                                       (3.0, 2e-10), (8.0, 2e-6)])
+    def test_default_tolerances_near_minimum(self, p, rel):
+        m = generate_unit_square(8)
+        mn = oracles.rayleigh_minimum(m, p)
+        mu = eigen.iiss(m, p).mu_rayleigh
+        assert mn <= mu <= mn * (1.0 + rel)

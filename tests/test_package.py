@@ -2,7 +2,10 @@ import ast
 import importlib
 import importlib.util
 import re
+from collections import defaultdict
 from pathlib import Path
+
+import numpy as np
 
 import plapeig
 
@@ -136,6 +139,56 @@ def test_benchmark_hooks_resolve():
     for module, attr in spans.IMPORTED_BINDINGS:
         assert getattr(importlib.import_module(module), attr) in targets, \
             f"{module}.{attr}"
+
+
+def test_benchmark_counters_read_real_results(tmp_path):
+    # The tracer's work counters read fields of what the package returns;
+    # fed real results, every counter fills.  A renamed report field would
+    # otherwise only show when the benchmark runs.
+    spans = _benchmark_spans()
+    counts = defaultdict(int)
+
+    def feed(name, fn, *args, **kwargs):
+        result = fn(*args, **kwargs)
+        spans._count(counts, name, args, kwargs, result, None)
+        return result
+
+    m = feed("mesh.refine", plapeig.refine,
+             plapeig.generate_unit_square(4), [0, 1])
+    ws = plapeig.DCWorkspace(m)
+    factor = ws.factor
+    spans._count(counts, "fem.DirichletFactor.factor", (factor,), {}, None,
+                 None)
+    feed("fem.DirichletFactor.solve", factor.solve, np.ones(len(factor.idx)))
+    u, rep = feed("plap.dc_solve", plapeig.dc_solve, m, 1.0, 3.0,
+                  workspace=ws)
+    _, stalled = feed("plap.dc_solve", plapeig.dc_solve, m, 1.0, 3.0,
+                      max_iter=1, workspace=ws)
+    feed("fem.grad", plapeig.grad, u)
+    feed("plap.resolvent_many", plapeig.resolvent_many, np.ones(5), 3.0)
+    res = feed("eigen.iiss", plapeig.iiss, m, 3.0, workspace=ws)
+    feed("eigen.iiss", plapeig.iiss, m, 3.0, max_m=1, workspace=ws)
+    run = feed("driver.run_afem", plapeig.run_afem, plapeig.AfemConfig(
+        domain="square", resolution=3, max_loops=1))
+    path = str(tmp_path / "mesh.vtk")
+    feed("io.write_vtk", plapeig.write_vtk, m, None, path)
+    assert rep.converged and not stalled.converged and res.converged
+    assert dict(counts) == {
+        "mesh.refine.calls": 1,
+        "fem.DirichletFactor.unknowns": len(factor.idx),
+        "fem.DirichletFactor.solves": 1,
+        "plap.dc_solve.calls": 2,
+        "plap.dc_solve.sweeps": rep.iterations + 1,
+        "plap.dc_solve.unconverged": 1,
+        "fem.grad.calls": 1,
+        "plap.resolvent_many.entries": 5,
+        "eigen.iiss.sweeps": res.iiss_iterations + 1,
+        "eigen.iiss.unconverged": 1,
+        "driver.levels": len(run.rows),
+        "io.write_vtk.bytes": Path(path).stat().st_size,
+    }
+    assert set(counts) == set(spans.COUNT_METRICS)
+    assert all(counts.values())
 
 
 def _package_reads() -> set[str]:

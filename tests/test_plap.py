@@ -160,8 +160,7 @@ class TestDCSolve:
         u1, r1 = plap.dc_solve(m, 1.0, 3.0, seed=77)
         u2, r2 = plap.dc_solve(m, 1.0, 3.0, seed=77)
         assert np.array_equal(u1.coeffs, u2.coeffs)
-        assert np.array_equal(r1.xi, r2.xi)
-        assert np.array_equal(r1.nu, r2.nu)
+        assert np.array_equal(r1.w, r2.w)
         assert r1.iterations == r2.iterations
 
     def test_seed_changes_trajectory_not_limit(self):
@@ -179,12 +178,13 @@ class TestDCSolve:
 
     def test_consistency_residual_decreases(self):
         d = generate_disk(6)
-        _, rep = plap.dc_solve(d, 1.0, 1.5, eps_n=1e-7)
+        u, rep = plap.dc_solve(d, 1.0, 1.5, eps_n=1e-7)
         n = rep.iterations
-        tail = [plap.dc_solve(d, 1.0, 1.5, eps_n=1e-7, max_iter=k)[1]
-                .consistency for k in (n - 2, n - 1, n)]
+        tail = [plap.consistency(uk, rk.w, 1.5) for uk, rk in
+                (plap.dc_solve(d, 1.0, 1.5, eps_n=1e-7, max_iter=k)
+                 for k in (n - 2, n - 1, n))]
         assert tail[0] >= tail[1] >= tail[2]
-        assert rep.consistency == tail[-1]
+        assert plap.consistency(u, rep.w, 1.5) == tail[-1]
 
     @pytest.mark.parametrize("p", [1.5, 3.0, 8.0])
     def test_accelerated_sweep_reaches_plain_limit_sooner(self, p):
@@ -204,13 +204,13 @@ class TestDCSolve:
 
     def test_p2_warm_start_solves_once(self, monkeypatch):
         # at p = 2, xi - nu vanishes after a sweep, so a solve started from
-        # the fields of an earlier one meets the same load in its first two
+        # the state of an earlier one meets the same load in its first two
         # sweeps: the second reuses the first one's solution, and the
         # result is that of the plain sweep, which solves both
         m = generate_unit_square(7)
         ws = plap.DCWorkspace(m)
         _, first = plap.dc_solve(m, 1.0, 2.0, workspace=ws)
-        init = (first.xi, first.nu)
+        init = first.w
         solves = []
         solve = ws.factor.solve
         monkeypatch.setattr(ws.factor, "solve",
@@ -222,17 +222,20 @@ class TestDCSolve:
         assert rep.converged and rep.iterations == n_ref == 2
         assert rep.rel_change == 0.0
         assert np.array_equal(u.coeffs, u_ref)
-        # sweep 1 gives w = xi0 + grad u, sweep 2 (the reuse) xi(w) + grad u
+        # sweep 1 gives w = xi(w0) + grad u, sweep 2 (the reuse)
+        # xi(w) + grad u
         gu = fem.grad(u)
-        w = init[0] + gu
+        w = init - plap.nu_update(init, 2.0) + gu
         w = w - plap.nu_update(w, 2.0) + gu
         nu = plap.nu_update(w, 2.0)
         xi = w - nu
         scale = np.abs(xi).max()
-        assert np.max(np.abs(rep.xi - xi)) <= 1e-14 * scale
-        assert np.max(np.abs(rep.nu - nu)) <= 1e-14 * scale
+        rep_nu = plap.nu_update(rep.w, 2.0)
+        assert np.max(np.abs(rep.w - rep_nu - xi)) <= 1e-14 * scale
+        assert np.max(np.abs(rep_nu - nu)) <= 1e-14 * scale
         consistency = np.sqrt(m.areas @ ((xi - gu) ** 2).sum(axis=1))
-        assert rep.consistency == pytest.approx(consistency, rel=1e-12)
+        assert plap.consistency(u, rep.w, 2.0) == pytest.approx(consistency,
+                                                                rel=1e-12)
 
     def test_every_sweep_solves_through_the_factor(self, monkeypatch):
         # away from p = 2 no load repeats, so each sweep makes one call of
@@ -337,11 +340,10 @@ class TestDCSolve:
 
     def test_explicit_init_used(self):
         m = generate_unit_square(4)
-        nt = m.num_triangles
-        init = (np.zeros((nt, 2)), np.zeros((nt, 2)))
-        u, rep = plap.dc_solve(m, 1.0, 2.0, init=init)
+        u, rep = plap.dc_solve(m, 1.0, 2.0,
+                               init=np.zeros((m.num_triangles, 2)))
         assert rep.converged
-        # with zero fields the very first sweep is already the Poisson solve
+        # from w = 0 the very first sweep is already the Poisson solve
         K = fem.assemble_stiffness(m)
         b = fem.assemble_rhs(m, 1.0)
         u_ref = oracles.solve_dirichlet_dense(K, b, m.boundary_vertex)
@@ -357,9 +359,9 @@ class TestDCSolve:
                 plap.dc_solve(m, 1.0, 2.0, eps_n=eps_n)
         with pytest.raises(ValueError, match="max_iter must be at least 1"):
             plap.dc_solve(m, 1.0, 2.0, max_iter=0)
-        with pytest.raises(ValueError):
-            plap.dc_solve(m, 1.0, 2.0, init=(np.zeros((2, 2)),
-                                             np.zeros((2, 2))))
+        for shape in ((2, 2), (m.num_triangles, 3), (2, m.num_triangles)):
+            with pytest.raises(ValueError, match="one 2-vector per triangle"):
+                plap.dc_solve(m, 1.0, 2.0, init=np.zeros(shape))
         with pytest.raises(ValueError, match="one entry per vertex"):
             plap.dc_solve(m, np.ones((m.num_triangles, 7)), 2.0)
 
@@ -410,21 +412,25 @@ class TestDCWorkspace:
         refine(generate_disk(2), [0, 5, 17]),
     ])
     def test_g_load_matches_triangle_loop(self, mesh, rng):
-        # g_load gives the interior rows of the load
+        # g_load gives the interior rows of the load, from the flat field
+        # the sweep holds: component by component
         ws = plap.DCWorkspace(mesh)
         g = rng.standard_normal((mesh.num_triangles, 2))
         ref = oracles.field_load_loop(mesh, g)[ws.factor.idx]
-        assert np.max(np.abs(ws.g_load(g) - ref)) <= \
+        assert np.max(np.abs(ws.g_load(g.T.ravel()) - ref)) <= \
             1e-13 * np.max(np.abs(ref))
 
     def test_grad_matches_elementwise_gradient(self, rng):
-        mesh = refine(generate_disk(2), [0, 5, 17])
-        ws = plap.DCWorkspace(mesh)
-        coeffs = np.zeros(mesh.num_vertices)
-        coeffs[ws.factor.idx] = rng.standard_normal(len(ws.factor.idx))
-        ref = fem.grad(fem.P1Function(mesh, coeffs))
-        got = (ws.grad @ coeffs[ws.factor.idx]).reshape(2, -1).T
-        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+        # bit for bit: the sweep's gradient is fem.grad's, so that
+        # consistency() evaluates the state of a solve as the sweep left it
+        for mesh in (generate_unit_square(9), generate_lshape(5),
+                     refine(generate_disk(2), [0, 5, 17])):
+            ws = plap.DCWorkspace(mesh)
+            coeffs = np.zeros(mesh.num_vertices)
+            coeffs[ws.factor.idx] = rng.standard_normal(len(ws.factor.idx))
+            ref = fem.grad(fem.P1Function(mesh, coeffs))
+            got = (ws.grad @ coeffs[ws.factor.idx]).reshape(2, -1).T
+            assert np.array_equal(got, ref)
 
     @pytest.mark.parametrize("mesh", [
         generate_unit_square(6),
