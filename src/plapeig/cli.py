@@ -44,7 +44,8 @@ def _add_solver_flags(p: argparse.ArgumentParser, with_eigen: bool):
     p.add_argument("--p", type=float,
                    help="exponent of the p-Laplacian (> 1)")
     p.add_argument("--eps-n", type=float,
-                   help="relative L2 tolerance of the splitting solver")
+                   help="tolerance of the splitting solver on the relative "
+                        "change of u in the lumped-mass L2 norm")
     p.add_argument("--max-dc", type=int,
                    help="iteration cap of the splitting solver")
     p.add_argument("--seed", type=int,

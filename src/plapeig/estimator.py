@@ -69,6 +69,8 @@ def estimate_all(mesh: Mesh, edges: EdgeTable, mu: float, u: P1Function,
                  p: float) -> IndicatorSet:
     """Indicator of every element; each interior edge contributes its jump
     term to both adjacent elements."""
+    if u.mesh is not mesh:
+        raise ValueError("u must live on the given mesh")
     eta = _element_terms(mesh, mu, u, p)
     jumps = _jump_terms(mesh, edges, u, p)
     np.add.at(eta, edges.int_tri_plus, jumps)

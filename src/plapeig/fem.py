@@ -9,11 +9,12 @@ such polynomial in general, |u|^p, is integrated by `element_lp` alone, the
 one approximate integral: the L^p norm, the Rayleigh quotient and the
 estimator's element term read it.
 
-The stiffness and mass matrices are assembled in edge form: the element
-matrices' diagonal entries are summed per vertex and their off-diagonal
-entries per edge of `Mesh.edge_numbering`, with no sort of the 9 nt
-element entries.  The same code builds the interior blocks of the
-Dirichlet problem directly, on one CSR pattern, without the full matrices.
+The stiffness matrix is assembled in edge form: the element matrices'
+diagonal entries are summed per vertex and their off-diagonal entries per
+edge of `Mesh.edge_numbering`, with no sort of the 9 nt element entries.
+The same code builds the interior block of the Dirichlet problem directly,
+without the full matrix.  No mass matrix is assembled: the splitting
+solver's stop reads the lumped mass int phi_i, the load vector of f = 1.
 
 Piecewise-constant vector fields (gradients, fluxes, the splitting solver's
 auxiliary fields) are plain (nt, 2) arrays, one 2-vector per triangle.
@@ -83,52 +84,33 @@ def assemble_stiffness(mesh: Mesh) -> sp.csr_matrix:
     Symmetric with zero row sums (constants lie in the kernel); positive
     definite once boundary rows/columns are eliminated.
     """
-    return _edge_form(mesh, np.ones(mesh.num_vertices, dtype=bool),
-                      _stiffness_entries)[0]
+    return _edge_form(mesh, np.ones(mesh.num_vertices, dtype=bool))
 
 
-def interior_blocks(mesh: Mesh) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    """Interior blocks of the stiffness and mass matrices: their rows and
-    columns of the vertices off the boundary, in ascending vertex order.
-    The two share one CSR pattern: their index arrays are the same memory.
-    """
-    return tuple(_edge_form(mesh, ~mesh.boundary_vertex, _stiffness_entries,
-                            _mass_entries))
+def interior_stiffness(mesh: Mesh) -> sp.csr_matrix:
+    """Interior block of the stiffness matrix: its rows and columns of the
+    vertices off the boundary, in ascending vertex order."""
+    return _edge_form(mesh, ~mesh.boundary_vertex)
 
 
-def _stiffness_entries(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
-    areas = mesh.areas[:, None]  # raises on degenerate triangles
-    g = mesh.basis_gradients
-    gx, gy = g[:, :, 0], g[:, :, 1]
-    # The edge opposite local vertex j joins local vertices j+1 and j+2.
-    nxt, prv = [1, 2, 0], [2, 0, 1]
-    return (areas * (gx * gx + gy * gy),
-            areas * (gx[:, nxt] * gx[:, prv] + gy[:, nxt] * gy[:, prv]))
-
-
-def _mass_entries(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
-    local = np.repeat(mesh.areas / 12.0, 3).reshape(-1, 3)
-    return 2.0 * local, local
-
-
-def _edge_form(mesh: Mesh, keep: np.ndarray,
-               *element_entries) -> list[sp.csr_matrix]:
-    """Symmetric matrices summing element matrices, one per item of
-    element_entries, restricted to the rows and columns of the vertices
-    flagged in keep (renumbered in ascending order), on one CSR pattern.
-
-    An item maps the mesh to (diag, off), two (nt, 3) arrays: diag[t, i]
-    at vertex triangles[t, i] and off[t, j] on the edge opposite local
-    vertex j, summed per vertex and per edge of `mesh.edge_numbering`.
+def _edge_form(mesh: Mesh, keep: np.ndarray) -> sp.csr_matrix:
+    """Stiffness matrix restricted to the rows and columns of the vertices
+    flagged in keep, renumbered in ascending order.
 
     The pattern is the kept diagonal plus both entries of every edge with
     two kept endpoints; entries that sum to zero stay stored.  The edge
     codes ascend, so listing the lower entries, the diagonal and the upper
     entries in that order already puts the columns of every row in
-    ascending order, and the conversion to CSR sorts and sums nothing.  It
-    runs once, on the entries' numbers, and leaves each where its entry
-    belongs.
+    ascending order: the conversion to CSR buckets the entries by row and
+    neither sorts columns nor sums duplicates.
     """
+    areas = mesh.areas[:, None]  # raises on degenerate triangles
+    g = mesh.basis_gradients
+    gx, gy = g[:, :, 0], g[:, :, 1]
+    # The edge opposite local vertex j joins local vertices j+1 and j+2.
+    nxt, prv = [1, 2, 0], [2, 0, 1]
+    diag = areas * (gx * gx + gy * gy)
+    off = areas * (gx[:, nxt] * gx[:, prv] + gy[:, nxt] * gy[:, prv])
     nv = mesh.num_vertices
     codes, edge_id, _, _ = mesh.edge_numbering
     lo, hi = np.divmod(codes, nv)
@@ -137,20 +119,13 @@ def _edge_form(mesh: Mesh, keep: np.ndarray,
     n = int(np.count_nonzero(keep))
     a, b = number[lo[kept]], number[hi[kept]]
     r = np.arange(n, dtype=np.int32)
-    pattern = sp.csr_matrix((np.arange(n + 2 * len(a)),
-                             (np.concatenate((b, r, a)),
-                              np.concatenate((a, r, b)))), shape=(n, n))
-    matrices = []
-    for entries in element_entries:
-        diag, off = entries(mesh)
-        e = np.bincount(edge_id.ravel(), weights=off.ravel(),
-                        minlength=len(codes))[kept]
-        d = np.bincount(mesh.triangles.ravel(), weights=diag.ravel(),
-                        minlength=nv)[keep]
-        matrices.append(sp.csr_matrix(
-            (np.concatenate((e, d, e))[pattern.data], pattern.indices,
-             pattern.indptr), shape=(n, n)))
-    return matrices
+    e = np.bincount(edge_id.ravel(), weights=off.ravel(),
+                    minlength=len(codes))[kept]
+    d = np.bincount(mesh.triangles.ravel(), weights=diag.ravel(),
+                    minlength=nv)[keep]
+    return sp.csr_matrix((np.concatenate((e, d, e)),
+                          (np.concatenate((b, r, a)),
+                           np.concatenate((a, r, b)))), shape=(n, n))
 
 
 def assemble_rhs(mesh: Mesh, f) -> np.ndarray:
@@ -211,7 +186,7 @@ class DirichletFactor:
     def __init__(self, A: sp.spmatrix, boundary: np.ndarray):
         """A is the symmetric interior block, its rows and columns those of
         the vertices not flagged in boundary, in ascending order (see
-        `interior_blocks`); a mesh without interior vertices, whose trial
+        `interior_stiffness`); a mesh without interior vertices, whose trial
         space is trivial, is rejected here."""
         boundary = np.asarray(boundary, dtype=bool)
         self.idx = np.nonzero(~boundary)[0]

@@ -14,7 +14,8 @@ dc_solve accelerates it with type-II Anderson acceleration
 (Walker & Ni, SIAM J. Numer. Anal. 2011) over the last ANDERSON_MEMORY
 sweeps, falling back to the plain sweep whenever the least-squares problem
 is singular.  Sweeps work in interior-vertex coordinates with operators
-that DCWorkspace builds once per mesh.
+that DCWorkspace builds once per mesh, and a solve stops on the relative
+change of u in the lumped-mass L2 norm.
 """
 
 from __future__ import annotations
@@ -177,8 +178,8 @@ class DCWorkspace:
     holds three operators on them:
     - factor: the factorized interior block of the stiffness matrix, whose
       `solve` is the one linear solve of every sweep;
-    - mass: the interior block of the mass matrix, behind the L2 norm of
-      the stopping test;
+    - weights: the lumped mass int phi_i of every interior vertex, behind
+      the L2 norm sqrt(sum_i weights_i x_i^2) of the stopping test;
     - grad: the elementwise gradient, a sparse 2 nt x n_int matrix whose
       row d nt + t is component d of the gradient on triangle t (fields
       are stored component by component to match).  Its transpose, a view
@@ -189,9 +190,10 @@ class DCWorkspace:
 
     def __init__(self, mesh: Mesh):
         self.mesh = mesh
-        stiffness, self.mass = fem.interior_blocks(mesh)
-        self.factor = DirichletFactor(stiffness, mesh.boundary_vertex)
+        self.factor = DirichletFactor(fem.interior_stiffness(mesh),
+                                      mesh.boundary_vertex)
         idx = self.factor.idx
+        self.weights = fem.assemble_rhs(mesh, 1.0)[idx]
         nt = mesh.num_triangles
         # Row d nt + t holds component d of grad(phi_i) for the three
         # vertices i of T; a boundary vertex's entry is an explicit zero in
@@ -231,9 +233,11 @@ def dc_solve(mesh: Mesh, f, p: float, eps_n: float = 1e-5, max_iter: int = 500,
              workspace: DCWorkspace | None = None) -> tuple[P1Function, DCReport]:
     """Decomposition-coordination solve of the p-Laplacian Dirichlet problem.
 
-    Iterates until the relative L2 change of the solution drops below eps_n
-    (checked from the second sweep on; the change is taken as absolute if the
-    previous iterate vanishes).  Hitting max_iter returns a report with
+    Iterates until the relative change of the solution in the lumped-mass L2
+    norm sqrt(sum_i m_i x_i^2), m_i = int phi_i, drops below eps_n (checked
+    from the second sweep on; the change is taken as absolute if the
+    previous iterate vanishes).  For P1 elements the lumped norm lies
+    within a factor 2 of the L2 norm.  Hitting max_iter returns a report with
     converged=False rather than raising; the caller decides.
 
     f is the load: a constant, or the load vector b_i = int f phi_i on all
@@ -247,12 +251,11 @@ def dc_solve(mesh: Mesh, f, p: float, eps_n: float = 1e-5, max_iter: int = 500,
     Anderson extrapolate of the earlier images T(w) (see _Anderson), so a
     solve that stops within three sweeps, such as every solve at p = 2, is
     the plain iteration.  One sweep costs one resolvent, one triangular
-    solve with its residual check, one product each with grad, its
-    transpose and the interior mass matrix (M x is carried to the next
-    sweep's stopping test), and the extrapolation's few inner products.
-    A sweep whose load repeats the last one bit for bit (every sweep after
-    the first at p = 2) reuses the last solution instead of solving.
-    Nothing is evaluated after the last sweep.
+    solve with its residual check, one product each with grad and its
+    transpose, and a few inner products.  A sweep whose load repeats the
+    last one bit for bit (every sweep after the first at p = 2) reuses the
+    last solution instead of solving.  Nothing is evaluated after the last
+    sweep.
     """
     if not 1 < p < math.inf:
         raise ValueError("p must exceed 1 and be finite")
@@ -284,7 +287,7 @@ def dc_solve(mesh: Mesh, f, p: float, eps_n: float = 1e-5, max_iter: int = 500,
         raise ValueError("load vector must have one entry per vertex")
     b_f = np.asarray(f, dtype=np.float64)[ws.factor.idx]
     accel = _Anderson(mesh.areas)
-    x = mx = load = None
+    x = load = None
     n = 0
     rel_change = np.inf
     converged = False
@@ -296,23 +299,22 @@ def dc_solve(mesh: Mesh, f, p: float, eps_n: float = 1e-5, max_iter: int = 500,
         new_load = b_f + ws.g_load(xi - nu)
         # At p = 2 the resolvent halves w, so xi - nu vanishes after every
         # sweep and the next load repeats the last one bit for bit; its
-        # solution, gradient and M x are then those of the last sweep.
+        # solution and gradient are then those of the last sweep.
         if load is None or not np.array_equal(new_load.view(np.int64),
                                               load.view(np.int64)):
             load = new_load
             x_new = ws.factor.solve(load)
             gu = ws.grad @ x_new
-            mx_new = ws.mass @ x_new
         tw = xi + gu
         if n >= 2:
             d = x_new - x
-            diff = math.sqrt(max(float(d @ (mx_new - mx)), 0.0))
-            base = math.sqrt(float(x @ mx))
+            diff = math.sqrt(d @ (ws.weights * d))
+            base = math.sqrt(x @ (ws.weights * x))
             rel_change = diff / base if base > 0.0 else diff
             if rel_change < eps_n:
                 converged = True
                 break
-        x, mx = x_new, mx_new
+        x = x_new
         # the history starts at sweep 2, also from a given start
         w = tw if n == 1 else accel.step(tw, tw - w)
 
@@ -330,7 +332,11 @@ def dc_solve(mesh: Mesh, f, p: float, eps_n: float = 1e-5, max_iter: int = 500,
 def consistency(u: P1Function, w: np.ndarray, p: float) -> float:
     """Elementwise L^q mismatch, q = p / (p - 1), between the coordination
     field xi = w - R(w) and the flux |grad u|^{p-2} grad u, for the solution
-    u and state w of one dc_solve; it vanishes at the fixed point."""
+    u and state w of one dc_solve; it vanishes at the fixed point.  It
+    measures how far xi lags behind the flux, not the error of u: at p = 2
+    u is exact from the second sweep on, while the lag halves per sweep."""
+    if np.shape(w) != (u.mesh.num_triangles, 2):
+        raise ValueError("w must have one 2-vector per triangle")
     e = w - nu_update(w, p) - fem.p_flux(fem.grad(u), p)
     ex, ey = e[:, 0], e[:, 1]
     mismatch = np.sqrt(ex * ex + ey * ey)

@@ -5,8 +5,8 @@ import scipy.linalg
 from plapeig import eigen, fem, plap
 from plapeig.fem import P1Function, SolverError
 from plapeig.mesh import (Mesh, MeshConformityError, generate_disk,
-                          generate_unit_square, prolong_vertex_values,
-                          refine_uniform)
+                          generate_lshape, generate_unit_square,
+                          prolong_vertex_values, refine_uniform)
 
 import oracles
 
@@ -249,12 +249,38 @@ class TestDiscreteMinimum:
                                 eigvals_only=True)[0]
         assert abs(oracles.rayleigh_minimum(m, 2.0) - lam) <= 1e-12 * lam
 
-    # measured gaps (mu - min) / min at the default seed: 1.9e-12, 1.2e-13,
-    # 3.6e-11 and 7.2e-7
+    # measured gaps (mu - min) / min at the default seed: 2.7e-12, 1.2e-13,
+    # 3.6e-11 and 6.0e-7
     @pytest.mark.parametrize("p,rel", [(1.5, 1e-11), (2.0, 1e-12),
                                        (3.0, 2e-10), (8.0, 2e-6)])
     def test_default_tolerances_near_minimum(self, p, rel):
         m = generate_unit_square(8)
         mn = oracles.rayleigh_minimum(m, p)
         mu = eigen.iiss(m, p).mu_rayleigh
+        assert mn <= mu <= mn * (1.0 + rel)
+
+    MESHES_P12 = {"square8": lambda: generate_unit_square(8),
+                  "square16": lambda: generate_unit_square(16),
+                  "lshape4": lambda: generate_lshape(4)}
+
+    @pytest.mark.parametrize("name", sorted(MESHES_P12))
+    def test_oracle_reproduces_stored_minimum_p12(self, name):
+        # measured: within 6.1e-14 relative on all three meshes
+        mn = oracles.rayleigh_minimum(self.MESHES_P12[name](), 1.2)
+        stored = oracles.DISCRETE_MIN_MU[name]
+        assert abs(mn - stored) <= 1e-13 * stored
+
+    # The bounds were set from the gaps (mu - min) / min at seeds 7 and 42
+    # when the splitting stop read the consistent mass matrix: 2.4e-6 and
+    # 1.3e-5 on the 8 x 8 square, 2.1e-5 and 2.8e-5 on the 16 x 16 square,
+    # 3.1e-6 and 1.1e-6 on the L-shape.  With the lumped-mass stop they are
+    # 4.0e-6 and 1.2e-5, 2.1e-5 and 2.7e-5, 2.1e-6 and 1.3e-6.
+    @pytest.mark.parametrize("seed", [7, 42])
+    @pytest.mark.parametrize("name,rel", [("square8", 3e-5),
+                                          ("square16", 6e-5),
+                                          ("lshape4", 1e-5)])
+    def test_default_tolerances_near_stored_minimum_p12(self, name, rel,
+                                                       seed):
+        mn = oracles.DISCRETE_MIN_MU[name]
+        mu = eigen.iiss(self.MESHES_P12[name](), 1.2, seed=seed).mu_rayleigh
         assert mn <= mu <= mn * (1.0 + rel)

@@ -86,9 +86,8 @@ class TestEdgeFormAssembly:
                                       lambda: generate_disk(2)],
                              ids=["graded_lshape", "disk"])
     @pytest.mark.parametrize("assemble,local", [
-        (fem.assemble_stiffness, oracles.stiffness_local),
-        (oracles.assemble_mass, oracles.mass_local)],
-        ids=["stiffness", "mass"])
+        (fem.assemble_stiffness, oracles.stiffness_local)],
+        ids=["stiffness"])
     def test_matches_scatter_oracle(self, make, assemble, local):
         m = make()
         A = assemble(m)
@@ -139,7 +138,7 @@ class TestRhs:
 class TestDirichletSolve:
     @staticmethod
     def _factor(m):
-        return fem.DirichletFactor(fem.interior_blocks(m)[0],
+        return fem.DirichletFactor(fem.interior_stiffness(m),
                                    m.boundary_vertex)
 
     @staticmethod
@@ -210,7 +209,7 @@ class TestDirichletSolve:
     def test_no_interior_vertices_rejected(self):
         m = generate_unit_square(1)
         with pytest.raises(ValueError, match="no interior vertices"):
-            fem.DirichletFactor(fem.interior_blocks(m)[0],
+            fem.DirichletFactor(fem.interior_stiffness(m),
                                 m.boundary_vertex)
 
     def test_torsion_center_value_fourier(self):

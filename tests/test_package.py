@@ -1,6 +1,7 @@
 import ast
 import importlib
 import importlib.util
+import json
 import re
 from collections import defaultdict
 from pathlib import Path
@@ -8,6 +9,9 @@ from pathlib import Path
 import numpy as np
 
 import plapeig
+from plapeig import cli
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_exports_resolve_without_duplicates():
@@ -18,7 +22,7 @@ def test_exports_resolve_without_duplicates():
 
 
 def test_console_script_target_resolves():
-    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    text = (ROOT / "pyproject.toml").read_text()
     scripts = re.search(r"^\[project\.scripts\]\n(.*?)(?:^\[|\Z)", text,
                         re.M | re.S).group(1)
     targets = re.findall(r'^\s*[\w-]+\s*=\s*"([\w.]+):(\w+)"', scripts, re.M)
@@ -115,19 +119,30 @@ def test_no_row_norms_through_linalg():
     assert not found, f"row norms through np.linalg.norm: {sorted(found)}"
 
 
-def _benchmark_spans():
-    """plapbench/spans.py, loaded from its file."""
-    path = Path(__file__).resolve().parents[1] / "plapbench" / "spans.py"
-    spec = importlib.util.spec_from_file_location("plapbench_spans", path)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
-    return spans
+def _benchmark_module(name: str):
+    """plapbench/<name>.py, loaded from its file."""
+    path = ROOT / "plapbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"plapbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_gated_workloads_parse(tmp_path):
+    # Each workload that BENCHMARK.json gates passes its flags to the CLI;
+    # a retired flag would otherwise only show as a benchmark run exiting 1.
+    gated = [w["name"] for w in
+             json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+    workloads = _benchmark_module("workloads")
+    for name in gated:
+        build = workloads.WORKLOADS[name][0]
+        cli.parse_cli(build(1)["argv"] + ["--out", str(tmp_path)])
 
 
 def test_benchmark_hooks_resolve():
     # The benchmark's tracer patches these names from outside the package;
     # a rename here would otherwise only show when the benchmark runs.
-    spans = _benchmark_spans()
+    spans = _benchmark_module("spans")
     targets = set()
     for _, module, attr in spans.FUNCTIONS:
         fn = getattr(importlib.import_module(module), attr)
@@ -145,7 +160,7 @@ def test_benchmark_counters_read_real_results(tmp_path):
     # The tracer's work counters read fields of what the package returns;
     # fed real results, every counter fills.  A renamed report field would
     # otherwise only show when the benchmark runs.
-    spans = _benchmark_spans()
+    spans = _benchmark_module("spans")
     counts = defaultdict(int)
 
     def feed(name, fn, *args, **kwargs):
@@ -237,7 +252,7 @@ def test_every_public_definition_has_a_reader_in_the_package():
     or not, is read by package code or is a name the benchmark's tracer
     patches (`FUNCTIONS` and `METHODS` of plapbench/spans.py): one that only
     tests read belongs in tests/oracles.py."""
-    spans = _benchmark_spans()
+    spans = _benchmark_module("spans")
     hooks = ({(module, attr) for _, module, attr in spans.FUNCTIONS}
              | {(module, cls) for _, module, cls, _ in spans.METHODS})
     loaded = _package_reads()

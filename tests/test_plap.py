@@ -186,6 +186,14 @@ class TestDCSolve:
         assert tail[0] >= tail[1] >= tail[2]
         assert plap.consistency(u, rep.w, 1.5) == tail[-1]
 
+    def test_consistency_rejects_misshapen_state(self):
+        # a state of one row would broadcast against every triangle
+        m = generate_unit_square(4)
+        u, rep = plap.dc_solve(m, 1.0, 1.5)
+        for w in (rep.w[:1], rep.w[:, :1], rep.w.T):
+            with pytest.raises(ValueError, match="one 2-vector per triangle"):
+                plap.consistency(u, w, 1.5)
+
     @pytest.mark.parametrize("p", [1.5, 3.0, 8.0])
     def test_accelerated_sweep_reaches_plain_limit_sooner(self, p):
         m = generate_unit_square(6)
@@ -395,17 +403,12 @@ class TestDCWorkspace:
         generate_unit_square(5),
         refine(generate_disk(3), [0, 5, 17]),
     ])
-    def test_l2_norm_matches_quadrature(self, mesh, rng):
-        # the interior mass block gives the L2 norm of a P1 function from
-        # its interior coefficients; boundary values are zero
+    def test_weights_are_mass_row_sums(self, mesh):
+        # the stopping test's lumped mass: the row sums of the mass matrix,
+        # over all its columns, on the rows of the interior vertices
         ws = plap.DCWorkspace(mesh)
-        idx = ws.factor.idx
-        for inner in (rng.standard_normal(len(idx)), np.ones(len(idx))):
-            coeffs = np.zeros(mesh.num_vertices)
-            coeffs[idx] = inner
-            ref = oracles.l2_norm_quadrature(mesh, coeffs)
-            norm = np.sqrt(inner @ (ws.mass @ inner))
-            assert norm == pytest.approx(ref, rel=1e-13)
+        ref = oracles.assemble_mass(mesh)[ws.factor.idx].sum(axis=1).A1
+        assert np.max(np.abs(ws.weights - ref)) <= 1e-14 * np.max(ref)
 
     @pytest.mark.parametrize("mesh", [
         generate_unit_square(3),
@@ -438,25 +441,24 @@ class TestDCWorkspace:
         refine(generate_disk(3), [0, 5, 17]),
     ], ids=["square", "lshape", "disk"])
     def test_blocks_match_sliced_full_matrices(self, mesh, monkeypatch):
-        # the interior blocks, assembled directly, are bit for bit the
-        # slices of the full matrices, and SuperLU gets the stiffness
-        # block's CSR arrays as the arrays of its CSC form
+        # the interior stiffness block, assembled directly, is bit for bit
+        # the slice of the full matrix, and SuperLU gets its CSR arrays as
+        # the arrays of its CSC form
         handed = []
         splu = fem.spla.splu
         monkeypatch.setattr(fem.spla, "splu",
                             lambda A, **kw: handed.append(A) or splu(A, **kw))
         ws = plap.DCWorkspace(mesh)
-        stiffness, mass = oracles.interior_blocks(mesh)
+        stiffness, _ = oracles.interior_blocks(mesh)
         (lu_input,) = handed
-        for got, ref in ((ws.factor._A, stiffness), (ws.mass, mass),
+        for got, ref in ((ws.factor._A, stiffness),
                          (lu_input, stiffness.tocsc())):
             assert got.format == ref.format
             assert np.array_equal(got.data.view(np.int64),
                                   ref.data.view(np.int64))
             assert np.array_equal(got.indices, ref.indices)
             assert np.array_equal(got.indptr, ref.indptr)
-        # one pattern for both blocks, and no copy for SuperLU
-        assert np.shares_memory(ws.mass.indices, ws.factor._A.indices)
+        # no copy for SuperLU
         for name in ("data", "indices", "indptr"):
             assert np.shares_memory(getattr(lu_input, name),
                                     getattr(ws.factor._A, name))
