@@ -105,8 +105,7 @@ def _edge_form(mesh: Mesh, keep: np.ndarray) -> sp.csr_matrix:
     neither sorts columns nor sums duplicates.
     """
     areas = mesh.areas[:, None]  # raises on degenerate triangles
-    g = mesh.basis_gradients
-    gx, gy = g[:, :, 0], g[:, :, 1]
+    gx, gy = mesh.basis_gradients.transpose(2, 0, 1)
     # The edge opposite local vertex j joins local vertices j+1 and j+2.
     nxt, prv = [1, 2, 0], [2, 0, 1]
     diag = areas * (gx * gx + gy * gy)
@@ -144,8 +143,8 @@ def assemble_rhs(mesh: Mesh, f) -> np.ndarray:
     # int_T f phi_i by quadrature; phi_i at a quad point is its barycentric
     # coordinate.  A matrix product is several times faster here than a
     # three-operand einsum.
-    contrib = ((fq @ (DEGREE5_POINTS * DEGREE5_WEIGHTS[:, None]))
-               * mesh.areas[:, None])
+    contrib = fq @ (DEGREE5_POINTS * DEGREE5_WEIGHTS[:, None])
+    contrib *= mesh.areas[:, None]
     return np.bincount(mesh.triangles.ravel(), weights=contrib.ravel(),
                        minlength=mesh.num_vertices)
 
@@ -218,25 +217,17 @@ class DirichletFactor:
         x = self._lu.solve(b)
         r = b - self._A @ x
         res = math.sqrt(r @ r) / bnorm
-        if res > SOLVE_RTOL:
+        if not res <= SOLVE_RTOL:  # a NaN residual fails too
             raise SolverError(f"factorized solve exceeded residual tolerance: "
                               f"{res:.3e}", residual=res)
         return x
 
 
 def grad(u: P1Function) -> np.ndarray:
-    """Elementwise gradient of a P1 function, (nt, 2), in Fortran order.
-
-    Each component sums its three vertex terms in local order; the
-    temporaries are single (nt,) columns.
-    """
-    c0, c1, c2 = np.take(u.coeffs, u.mesh.triangles.T)
-    out = np.empty((2, len(c0)))
-    for d in range(2):
-        g = u.mesh.basis_gradients[..., d]
-        np.add(c0 * g[:, 0], c1 * g[:, 1], out=out[d])
-        out[d] += c2 * g[:, 2]
-    return out.T
+    """Elementwise gradient of a P1 function, (nt, 2), in Fortran order:
+    the product of `Mesh.gradient` with the coefficients, each component
+    summing its three vertex terms in local order."""
+    return (u.mesh.gradient @ u.coeffs).reshape(2, -1).T
 
 
 def p_flux(field: np.ndarray, p: float) -> np.ndarray:

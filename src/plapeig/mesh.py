@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+import scipy.sparse as sp
 
 
 class MeshConformityError(ValueError):
@@ -39,8 +40,8 @@ class Mesh:
                     created each vertex; (-1, -1) (the default) for original
                     vertices
 
-    Areas, basis gradients, the edge numbering and the boundary flags are
-    cached read-only properties computed from these fields.
+    Areas, basis gradients and the gradient operator, the edge numbering
+    and the boundary flags are cached read-only properties of these fields.
     """
 
     vertices: np.ndarray
@@ -116,6 +117,20 @@ class Mesh:
         g[1] /= two_area
         g.setflags(write=False)
         return g.transpose(1, 2, 0)
+
+    @cached_property
+    def gradient(self) -> sp.csr_matrix:
+        """Elementwise gradient of P1 functions, a (2 nt, nv) CSR matrix
+        whose row d nt + t holds component d of the basis gradients of
+        triangle t in local vertex order: its product with vertex values
+        lists the gradient component by component.  Its data is the memory
+        of `basis_gradients`, not a copy."""
+        nt = self.num_triangles
+        return sp.csr_matrix(
+            (self.basis_gradients.transpose(2, 0, 1).ravel(),
+             np.tile(self.triangles.astype(np.int32).ravel(), 2),
+             np.arange(0, 6 * nt + 1, 3, dtype=np.int32)),
+            shape=(2 * nt, self.num_vertices))
 
     @cached_property
     def edge_numbering(self) -> tuple[np.ndarray, np.ndarray, np.ndarray,

@@ -13,9 +13,9 @@ w -> T(w), and w is all that one solve hands the next as its start.
 dc_solve accelerates it with type-II Anderson acceleration
 (Walker & Ni, SIAM J. Numer. Anal. 2011) over the last ANDERSON_MEMORY
 sweeps, falling back to the plain sweep whenever the least-squares problem
-is singular.  Sweeps work in interior-vertex coordinates with operators
-that DCWorkspace builds once per mesh, and a solve stops on the relative
-change of u in the lumped-mass L2 norm.
+is singular.  Sweeps work in interior-vertex coordinates with the factor
+that DCWorkspace builds once per mesh and the mesh's own `Mesh.gradient`,
+and a solve stops on the relative change of u in the lumped-mass L2 norm.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg.lapack import dpotrf, dpotrs
 
 from . import fem
@@ -175,15 +174,13 @@ class DCWorkspace:
 
     Trial functions vanish on the boundary, so a sweep needs only their
     interior coefficients, in the order of `factor.idx`.  The workspace
-    holds three operators on them:
-    - factor: the factorized interior block of the stiffness matrix, whose
-      `solve` is the one linear solve of every sweep;
-    - weights: the lumped mass int phi_i of every interior vertex, behind
-      the L2 norm sqrt(sum_i weights_i x_i^2) of the stopping test;
-    - grad: the elementwise gradient, a sparse 2 nt x n_int matrix whose
-      row d nt + t is component d of the gradient on triangle t (fields
-      are stored component by component to match).  Its transpose, a view
-      built once, is the divergence behind g_load.
+    holds factor, the factorized interior block of the stiffness matrix,
+    whose `solve` is the one linear solve of every sweep, and weights, the
+    lumped mass int phi_i of every interior vertex, behind the stopping
+    test's L2 norm sqrt(sum_i weights_i x_i^2).  `grad` and g_load apply
+    `Mesh.gradient` and its transpose through a vertex buffer whose
+    boundary entries stay zero; fields are flat, stored component by
+    component to match its rows.
 
     A workspace serves only the mesh it was built on.
     """
@@ -192,30 +189,24 @@ class DCWorkspace:
         self.mesh = mesh
         self.factor = DirichletFactor(fem.interior_stiffness(mesh),
                                       mesh.boundary_vertex)
-        idx = self.factor.idx
-        self.weights = fem.assemble_rhs(mesh, 1.0)[idx]
-        nt = mesh.num_triangles
-        # Row d nt + t holds component d of grad(phi_i) for the three
-        # vertices i of T; a boundary vertex's entry is an explicit zero in
-        # column 0, so every row keeps three entries and nothing is masked.
-        # The arrays are built in the dtypes and layout of the CSR matrix,
-        # so that it copies none of them.
-        col = np.zeros(mesh.num_vertices, dtype=np.int32)
-        col[idx] = np.arange(len(idx))
-        inner = ~mesh.boundary_vertex[mesh.triangles]
-        self.grad = sp.csr_matrix(
-            (np.multiply(mesh.basis_gradients.transpose(2, 0, 1), inner,
-                         order="C").ravel(),
-             np.tile(col[mesh.triangles].ravel(), 2),
-             np.arange(0, 6 * nt + 1, 3, dtype=np.int32)),
-            shape=(2 * nt, len(idx)))
-        self._div = self.grad.T
+        self.weights = fem.assemble_rhs(mesh, 1.0)[self.factor.idx]
+        self._vertex_values = np.zeros(mesh.num_vertices)
+        self._interior = ~mesh.boundary_vertex  # the vertices of factor.idx
+        self._div = mesh.gradient.T  # a view; forming one per call is slow
+
+    def grad(self, x: np.ndarray) -> np.ndarray:
+        """Elementwise gradient of the trial function with interior
+        coefficients x, a flat field of length 2 nt stored component by
+        component."""
+        self._vertex_values[self._interior] = x
+        return self.mesh.gradient @ self._vertex_values
 
     def g_load(self, g: np.ndarray) -> np.ndarray:
         """Load vector of the field term on the interior vertices:
         -sum_T |T| g_T . grad(phi_i), for a flat field g of length 2 nt
         stored component by component, as the sweep keeps them."""
-        return -(self._div @ (g.reshape(2, -1) * self.mesh.areas).ravel())
+        weighted = (g.reshape(2, -1) * self.mesh.areas).ravel()
+        return -(self._div @ weighted)[self._interior]
 
 
 def random_fields(mesh: Mesh, seed: int = DEFAULT_SEED) -> tuple[np.ndarray, np.ndarray]:
@@ -241,21 +232,21 @@ def dc_solve(mesh: Mesh, f, p: float, eps_n: float = 1e-5, max_iter: int = 500,
     converged=False rather than raising; the caller decides.
 
     f is the load: a constant, or the load vector b_i = int f phi_i on all
-    vertices as `fem.assemble_rhs` returns it.  init is the starting state
-    w, an (nt, 2) field, such as the w of an earlier report: the first
-    sweep forms nu = R(w) and xi = w - nu from it.  Without init the first
-    sweep starts from the fields (xi, nu) of random_fields, drawn from
-    seed.
+    vertices as `fem.assemble_rhs` returns it; a load that is not finite
+    raises ValueError before any solve.  init is the starting state w, an
+    (nt, 2) field, such as the w of an earlier report: the first sweep
+    forms nu = R(w) and xi = w - nu from it.  Without init the first sweep
+    starts from the fields (xi, nu) of random_fields, drawn from seed.
 
     Sweeps 1 to 3 are plain; from then on each sweep starts from the
     Anderson extrapolate of the earlier images T(w) (see _Anderson), so a
     solve that stops within three sweeps, such as every solve at p = 2, is
     the plain iteration.  One sweep costs one resolvent, one triangular
-    solve with its residual check, one product each with grad and its
-    transpose, and a few inner products.  A sweep whose load repeats the
-    last one bit for bit (every sweep after the first at p = 2) reuses the
-    last solution instead of solving.  Nothing is evaluated after the last
-    sweep.
+    solve with its residual check, one product each with `Mesh.gradient`
+    and its transpose, and a few inner products.  A sweep whose load
+    repeats the last one bit for bit (every sweep after the first at
+    p = 2) reuses the last solution instead of solving.  Nothing is
+    evaluated after the last sweep.
     """
     if not 1 < p < math.inf:
         raise ValueError("p must exceed 1 and be finite")
@@ -265,12 +256,19 @@ def dc_solve(mesh: Mesh, f, p: float, eps_n: float = 1e-5, max_iter: int = 500,
         raise ValueError("max_iter must be at least 1")
     if workspace is not None and workspace.mesh is not mesh:
         raise ValueError("workspace must belong to the given mesh")
+    f = np.asarray(f, dtype=np.float64)
+    if not np.isfinite(f).all():
+        raise ValueError("load must be finite")
+    if f.ndim == 0:
+        f = fem.assemble_rhs(mesh, float(f))
+    elif f.shape != (mesh.num_vertices,):
+        raise ValueError("load vector must have one entry per vertex")
     ws = workspace if workspace is not None else DCWorkspace(mesh)
     nt = mesh.num_triangles
 
     # Fields are flat vectors of length 2 nt stored component by component,
-    # the row order of ws.grad; v.reshape(2, nt).T is their (nt, 2) view,
-    # in Fortran order.  Every field operation of a sweep runs over
+    # the row order of mesh.gradient; v.reshape(2, nt).T is their (nt, 2)
+    # view, in Fortran order.  Every field operation of a sweep runs over
     # contiguous memory and copies no layout.
     if init is None:
         xi, nu = (a.T.ravel() for a in random_fields(mesh, seed))
@@ -281,11 +279,7 @@ def dc_solve(mesh: Mesh, f, p: float, eps_n: float = 1e-5, max_iter: int = 500,
             raise ValueError("init must have one 2-vector per triangle")
         w = w.T.ravel()
 
-    if np.isscalar(f):
-        f = fem.assemble_rhs(mesh, f)
-    elif np.shape(f) != (mesh.num_vertices,):
-        raise ValueError("load vector must have one entry per vertex")
-    b_f = np.asarray(f, dtype=np.float64)[ws.factor.idx]
+    b_f = f[ws.factor.idx]
     accel = _Anderson(mesh.areas)
     x = load = None
     n = 0
@@ -304,7 +298,7 @@ def dc_solve(mesh: Mesh, f, p: float, eps_n: float = 1e-5, max_iter: int = 500,
                                               load.view(np.int64)):
             load = new_load
             x_new = ws.factor.solve(load)
-            gu = ws.grad @ x_new
+            gu = ws.grad(x_new)
         tw = xi + gu
         if n >= 2:
             d = x_new - x

@@ -244,6 +244,18 @@ def mass_local(mesh):
     return mesh.areas[:, None, None] / 12.0 * (1.0 + np.eye(3))
 
 
+def grad_take_loop(u):
+    """Elementwise gradient of a P1 function, (nt, 2), from gathered vertex
+    values: per component, c0 g0 + c1 g1, then + c2 g2, in local order."""
+    c0, c1, c2 = np.take(u.coeffs, u.mesh.triangles.T)
+    out = np.empty((2, len(c0)))
+    for d in range(2):
+        g = u.mesh.basis_gradients[..., d]
+        np.add(c0 * g[:, 0], c1 * g[:, 1], out=out[d])
+        out[d] += c2 * g[:, 2]
+    return out.T
+
+
 def field_load_loop(mesh, g):
     """-sum_T |T| g_T . grad(phi_i), one triangle at a time."""
     out = np.zeros(mesh.num_vertices)

@@ -223,6 +223,15 @@ class TestDirichletSolve:
         c = int(np.argmin(np.linalg.norm(m.vertices - 0.5, axis=1)))
         assert abs(u[c] - exact) / exact < 0.01
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_load_is_solver_error(self, bad):
+        # a NaN residual fails the tolerance test: no NaN or inf returned
+        fac = self._factor(generate_unit_square(6))
+        for b in (np.full(len(fac.idx), bad),
+                  np.where(np.arange(len(fac.idx)) == 3, bad, 1.0)):
+            with pytest.raises(fem.SolverError, match="residual tolerance"):
+                fac.solve(b)
+
     def test_degenerate_triangle_rejected(self):
         from plapeig.mesh import Mesh, MeshConformityError
         bad = Mesh(vertices=np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]),
@@ -245,6 +254,38 @@ class TestGradAndNorms:
         m = generate_unit_square(3)
         u = p1(m, 3.0 * m.vertices[:, 0] + 2.0 * m.vertices[:, 1] - 1.0)
         assert np.allclose(fem.grad(u), [3.0, 2.0], atol=1e-12)
+
+    @pytest.mark.parametrize("mesh", [
+        generate_unit_square(9),
+        generate_lshape(5),
+        refine(generate_disk(3), [0, 5, 17]),
+    ], ids=["square", "lshape", "disk"])
+    def test_grad_matches_take_loop_bit_for_bit(self, mesh, rng):
+        # signed zeros included, for trial functions as the solver makes
+        # them: +0.0 on the boundary
+        coeffs = rng.standard_normal(mesh.num_vertices)
+        coeffs[mesh.boundary_vertex] = 0.0
+        for c in (coeffs, np.zeros(mesh.num_vertices)):
+            got = fem.grad(p1(mesh, c))
+            ref = oracles.grad_take_loop(p1(mesh, c))
+            assert got.shape == ref.shape and got.flags.f_contiguous
+            assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+        # -0.0 coefficients can leave three -0.0 terms, which the loop sums
+        # to -0.0 and the sparse product, whose sum starts at +0.0, to +0.0
+        coeffs = coeffs.copy()
+        coeffs[np.nonzero(mesh.boundary_vertex)[0][::2]] = -0.0
+        got = fem.grad(p1(mesh, coeffs))
+        ref = oracles.grad_take_loop(p1(mesh, coeffs))
+        differ = got.view(np.int64) != ref.view(np.int64)
+        assert np.array_equal(got, ref) and np.all(got[differ] == 0.0)
+
+    def test_gradient_operator_shares_basis_gradients(self):
+        m = refine(generate_lshape(3), [0, 7, 30])
+        G = m.gradient
+        assert G is m.gradient  # cached
+        assert G.shape == (2 * m.num_triangles, m.num_vertices)
+        assert np.shares_memory(G.data, m.basis_gradients)
+        assert G.indices.dtype == G.indptr.dtype == np.int32
 
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.7])
     def test_lp_norm_constant_one(self, p):

@@ -373,6 +373,19 @@ class TestDCSolve:
         with pytest.raises(ValueError, match="one entry per vertex"):
             plap.dc_solve(m, np.ones((m.num_triangles, 7)), 2.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_load_rejected_before_solving(self, bad, monkeypatch):
+        m = generate_unit_square(6)
+        calls = []
+        monkeypatch.setattr(fem.DirichletFactor, "solve",
+                            lambda *args: calls.append(args))
+        vector = fem.assemble_rhs(m, 1.0)
+        vector[np.nonzero(~m.boundary_vertex)[0][2]] = bad
+        for f in (bad, vector):
+            with pytest.raises(ValueError, match="load must be finite"):
+                plap.dc_solve(m, f, 3.0)
+        assert not calls
+
     def test_workspace_reuse_matches(self):
         m = generate_unit_square(5)
         ws = plap.DCWorkspace(m)
@@ -432,7 +445,7 @@ class TestDCWorkspace:
             coeffs = np.zeros(mesh.num_vertices)
             coeffs[ws.factor.idx] = rng.standard_normal(len(ws.factor.idx))
             ref = fem.grad(fem.P1Function(mesh, coeffs))
-            got = (ws.grad @ coeffs[ws.factor.idx]).reshape(2, -1).T
+            got = ws.grad(coeffs[ws.factor.idx]).reshape(2, -1).T
             assert np.array_equal(got, ref)
 
     @pytest.mark.parametrize("mesh", [
