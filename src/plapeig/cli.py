@@ -4,7 +4,7 @@ Subcommands: `run` drives the full adaptive eigenvalue loop, `mesh`
 generates and saves a domain mesh, `solve-plap` solves the p-Laplacian
 source problem with unit load, `estimate` performs one solve-and-estimate
 pass and prints the indicator summary.  Exit codes: 0 success, 1 usage
-error, 2 solver failure.
+error (out of memory included), 2 solver failure.
 """
 
 from __future__ import annotations
@@ -192,8 +192,9 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     try:
         return _COMMANDS[args.subcommand](args)
-    except (ValueError, OSError) as err:
-        print(f"usage error: {err}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as err:
+        oom = "out of memory: " * isinstance(err, MemoryError)
+        print(f"usage error: {oom}{err}", file=sys.stderr)
         return 1
     except fem.SolverError as err:
         print(f"solver failure: {err}", file=sys.stderr)

@@ -63,16 +63,6 @@ class EigenResult:
     w: np.ndarray | None = None
 
 
-def _inverse_load(u: P1Function, p: float) -> np.ndarray:
-    """Load vector of (max(u, 0) / ||u||_inf)^{p-1}; its (nt, nq) values
-    at the quadrature points are formed in place and die on return."""
-    f = fem.p1_at_quad(u)
-    np.maximum(f, 0.0, out=f)
-    f /= fem.sup_norm(u)
-    f **= p - 1.0
-    return fem.assemble_rhs(u.mesh, f)
-
-
 def iiss(mesh: Mesh, p: float, eps_m: float = 1e-5, max_m: int = 200,
          eps_n: float = 1e-5, seed: int = DEFAULT_SEED, max_dc: int = 500,
          u0: P1Function | None = None, lambda0: float | None = None,
@@ -120,8 +110,8 @@ def iiss(mesh: Mesh, p: float, eps_m: float = 1e-5, max_m: int = 200,
     converged = False
     for m in range(1, max_m + 1):
         u, report = plap.dc_solve(
-            mesh, 1.0 if u is None else _inverse_load(u, p), p, eps_n=eps_n,
-            max_iter=max_dc, init=warm, seed=seed, workspace=ws)
+            mesh, 1.0 if u is None else fem.inverse_load(u, p), p,
+            eps_n=eps_n, max_iter=max_dc, init=warm, seed=seed, workspace=ws)
         dc_total += report.iterations
         if not report.converged:
             raise report.stalled(
@@ -149,14 +139,6 @@ def iiss(mesh: Mesh, p: float, eps_m: float = 1e-5, max_m: int = 200,
     u_lp = P1Function(mesh, u_sup.coeffs / lpn)
     mu = fem.rayleigh(u_lp, p)
     return EigenResult(
-        lambda_iiss=float(lam),
-        u_sup=u_sup,
-        u_lp=u_lp,
-        mu_rayleigh=float(mu),
-        iiss_iterations=m,
-        dc_iterations_total=dc_total,
-        converged=converged,
-        lambda_history=history,
-        min_vertex_value=min_vertex,
-        w=warm,
-    )
+        lambda_iiss=float(lam), u_sup=u_sup, u_lp=u_lp, mu_rayleigh=float(mu),
+        iiss_iterations=m, dc_iterations_total=dc_total, converged=converged,
+        lambda_history=history, min_vertex_value=min_vertex, w=warm)

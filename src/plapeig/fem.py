@@ -4,20 +4,17 @@ Covers the quadrature rule on the reference triangle, stiffness and load
 assembly, the factorized homogeneous-Dirichlet solve, elementwise gradients,
 and the p-dependent norms building the Rayleigh quotient.  Every element
 integral uses the degree-5 symmetric rule DEGREE5_POINTS, DEGREE5_WEIGHTS,
-exact for polynomials of degree at most 5.  The one integrand that is no
-such polynomial in general, |u|^p, is integrated by `element_lp` alone, the
-one approximate integral: the L^p norm, the Rayleigh quotient and the
-estimator's element term read it.
+exact for polynomials of degree at most 5, QUAD_BLOCK triangles at a time:
+no array holds the (nt, nq) values of a whole mesh.  The one integrand that
+is no such polynomial in general, |u|^p, is integrated by `element_lp`
+alone, the one approximate integral: the L^p norm, the Rayleigh quotient
+and the estimator's element term read it.
 
-The stiffness matrix is assembled in edge form: the element matrices'
-diagonal entries are summed per vertex and their off-diagonal entries per
-edge of `Mesh.edge_numbering`, with no sort of the 9 nt element entries.
-The same code builds the interior block of the Dirichlet problem directly,
-without the full matrix.  No mass matrix is assembled: the splitting
-solver's stop reads the lumped mass int phi_i, the load vector of f = 1.
-
-Piecewise-constant vector fields (gradients, fluxes, the splitting solver's
-auxiliary fields) are plain (nt, 2) arrays, one 2-vector per triangle.
+The stiffness matrix, or its interior block, is assembled in edge form (see
+`_edge_form`).  No mass matrix is assembled: the splitting solver's stop
+reads the lumped mass int phi_i, the load vector of f = 1.  Vector fields
+constant per triangle (gradients, fluxes, the splitting solver's auxiliary
+fields) are plain (nt, 2) arrays, one 2-vector per triangle.
 """
 
 from __future__ import annotations
@@ -56,6 +53,10 @@ DEGREE5_WEIGHTS = np.array([9.0 / 40.0, _W1, _W1, _W1, _W2, _W2, _W2])
 DEGREE5_POINTS.setflags(write=False)
 DEGREE5_WEIGHTS.setflags(write=False)
 
+#: Triangles per block of every quadrature: one (QUAD_BLOCK, nq) array of
+#: values is 0.46 MB.
+QUAD_BLOCK = 8192
+
 
 @dataclass(frozen=True)
 class P1Function:
@@ -72,18 +73,38 @@ class P1Function:
         object.__setattr__(self, "coeffs", c)
 
 
-def p1_at_quad(u: P1Function) -> np.ndarray:
-    """Values of u at the quadrature points of every triangle, (nt, nq)."""
-    nodal = np.take(u.coeffs, u.mesh.triangles)   # (nt, 3)
-    return nodal @ DEGREE5_POINTS.T
+def _at_quad(mesh: Mesh, values):
+    """Yields (s, f) per block s of QUAD_BLOCK triangles, f a fresh (len, nq)
+    array of the constant or P1 vertex values at their quadrature points.
+    A lone last triangle joins the block before: NumPy hands a one-row
+    product to BLAS's vector path, whose sums can differ in the last bit."""
+    nt, start = mesh.num_triangles, 0
+    while start < nt:
+        stop = start + QUAD_BLOCK if nt - start > QUAD_BLOCK + 1 else nt
+        s, start = slice(start, stop), stop
+        yield s, (np.take(values, mesh.triangles[s]) @ DEGREE5_POINTS.T
+                  if np.ndim(values) else
+                  np.full((stop - s.start, len(DEGREE5_WEIGHTS)), values))
+
+
+def _load(mesh: Mesh, values, fmap=lambda f: None) -> np.ndarray:
+    """Load vector b_i = sum_T int_T f phi_i, f the values of `_at_quad`
+    mapped in place by fmap block by block."""
+    phi = DEGREE5_POINTS * DEGREE5_WEIGHTS[:, None]  # w_q phi_i(x_q), (nq, 3)
+    contrib = np.empty((mesh.num_triangles, 3))
+    for s, fq in _at_quad(mesh, values):
+        fmap(fq)
+        np.matmul(fq, phi, out=contrib[s])
+    fq = None  # the last block dies before the scatter
+    contrib *= mesh.areas[:, None]
+    return np.bincount(mesh.triangles.ravel(), weights=contrib.ravel(),
+                       minlength=mesh.num_vertices)
 
 
 def assemble_stiffness(mesh: Mesh) -> sp.csr_matrix:
-    """Stiffness matrix K_ij = sum_T |T| grad(phi_i) . grad(phi_j).
-
-    Symmetric with zero row sums (constants lie in the kernel); positive
-    definite once boundary rows/columns are eliminated.
-    """
+    """Stiffness matrix K_ij = sum_T |T| grad(phi_i) . grad(phi_j): symmetric
+    with zero row sums (constants lie in the kernel), positive definite once
+    boundary rows/columns are eliminated."""
     return _edge_form(mesh, np.ones(mesh.num_vertices, dtype=bool))
 
 
@@ -127,26 +148,24 @@ def _edge_form(mesh: Mesh, keep: np.ndarray) -> sp.csr_matrix:
                            np.concatenate((a, r, b)))), shape=(n, n))
 
 
-def assemble_rhs(mesh: Mesh, f) -> np.ndarray:
-    """Load vector b_i = sum_T int_T f phi_i.
+def assemble_rhs(mesh: Mesh, f: float) -> np.ndarray:
+    """Load vector b_i = sum_T int_T f phi_i of a constant f, block by block;
+    f = 1 gives the lumped mass int phi_i."""
+    if not np.isscalar(f):
+        raise ValueError("load must be a constant")
+    return _load(mesh, float(f))
 
-    f is a constant or its values at the quadrature points, (nt, nq).
-    """
-    nt, nq = mesh.num_triangles, len(DEGREE5_WEIGHTS)
-    if np.isscalar(f):
-        fq = np.full((nt, nq), float(f))
-    else:
-        fq = np.asarray(f, dtype=np.float64)
-        if fq.shape != (nt, nq):
-            raise ValueError(f"cannot interpret field of shape {fq.shape}; "
-                             f"expected scalar or ({nt}, {nq})")
-    # int_T f phi_i by quadrature; phi_i at a quad point is its barycentric
-    # coordinate.  A matrix product is several times faster here than a
-    # three-operand einsum.
-    contrib = fq @ (DEGREE5_POINTS * DEGREE5_WEIGHTS[:, None])
-    contrib *= mesh.areas[:, None]
-    return np.bincount(mesh.triangles.ravel(), weights=contrib.ravel(),
-                       minlength=mesh.num_vertices)
+
+def inverse_load(u: P1Function, p: float) -> np.ndarray:
+    """Load vector of (max(u, 0) / ||u||_inf)^{p-1}, the load of an
+    inverse-iteration sweep, mapped in place block by block."""
+    sup = sup_norm(u)
+
+    def fmap(f):
+        np.maximum(f, 0.0, out=f)
+        f /= sup
+        f **= p - 1.0
+    return _load(u.mesh, u.coeffs, fmap)
 
 
 #: Relative residual every factorized solve is checked against.
@@ -205,8 +224,7 @@ class DirichletFactor:
                              options=dict(SymmetricMode=True))
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        """Solution on the interior vertices, in the order of idx, for a
-        load b on the interior vertices in the same order."""
+        """Interior solution, in the order of idx, for the interior load b."""
         if len(b) != len(self.idx):
             raise ValueError("load length must match the interior vertex "
                              "count")
@@ -231,11 +249,8 @@ def grad(u: P1Function) -> np.ndarray:
 
 
 def p_flux(field: np.ndarray, p: float) -> np.ndarray:
-    """Nonlinear flux |w|^{p-2} w of a piecewise-constant vector field.
-
-    Zero rows map to zero for every p > 1 (the singular factor for p < 2 is
-    never evaluated at zero).
-    """
+    """Nonlinear flux |w|^{p-2} w of a piecewise-constant vector field; zero
+    rows map to zero (for p < 2 the singular factor is not evaluated)."""
     w = np.asarray(field, dtype=np.float64)
     x, y = w[..., 0], w[..., 1]
     n = np.sqrt(x * x + y * y)
@@ -246,13 +261,15 @@ def p_flux(field: np.ndarray, p: float) -> np.ndarray:
 
 
 def element_lp(u: P1Function, p: float) -> np.ndarray:
-    """int_T |u|^p for every triangle, (nt,), by the degree-5 rule."""
+    """int_T |u|^p per triangle, (nt,), by the degree-5 rule, in blocks."""
     if not 1 < p < np.inf:
         raise ValueError("p must exceed 1 and be finite")
-    vals = p1_at_quad(u)
-    np.abs(vals, out=vals)
-    vals **= p
-    return u.mesh.areas * (vals @ DEGREE5_WEIGHTS)
+    out = np.empty(u.mesh.num_triangles)
+    for s, vals in _at_quad(u.mesh, u.coeffs):
+        np.abs(vals, out=vals)
+        vals **= p
+        out[s] = u.mesh.areas[s] * (vals @ DEGREE5_WEIGHTS)
+    return out
 
 
 def lp_norm(u: P1Function, p: float) -> float:

@@ -57,13 +57,45 @@ def integrate_triangle(f, v0, v1, v2, m: int = 6) -> float:
     return float(jac * np.dot(ref_w, f(pts[:, 0], pts[:, 1])))
 
 
-def values_at_points(vertices, triangles, bary, f) -> np.ndarray:
-    """f(x, y) at the images of the barycentric points bary (nq, 3) in every
-    triangle, (nt, nq)."""
-    corners = np.asarray(vertices)[np.asarray(triangles)]  # (nt, 3, 2)
-    x = corners[:, :, 0] @ np.asarray(bary).T
-    y = corners[:, :, 1] @ np.asarray(bary).T
-    return np.asarray(f(x, y), dtype=float)
+def quad_values_one_shot(u) -> np.ndarray:
+    """Values of the P1 function u at the degree-5 quadrature points of
+    every triangle, (nt, nq), in one product over all triangles: the
+    reference the blocked quadrature of `fem` must equal bit for bit."""
+    return np.take(u.coeffs, u.mesh.triangles) @ fem.DEGREE5_POINTS.T
+
+
+def load_one_shot(mesh, fq) -> np.ndarray:
+    """Load vector b_i = sum_T int_T f phi_i from the (nt, nq) values fq of
+    f at the quadrature points, in one product over all triangles."""
+    contrib = fq @ (fem.DEGREE5_POINTS * fem.DEGREE5_WEIGHTS[:, None])
+    contrib *= mesh.areas[:, None]
+    return np.bincount(mesh.triangles.ravel(), weights=contrib.ravel(),
+                       minlength=mesh.num_vertices)
+
+
+def constant_load_one_shot(mesh, f: float) -> np.ndarray:
+    """Load vector of the constant f from an (nt, nq) array filled with f."""
+    fq = np.full((mesh.num_triangles, len(fem.DEGREE5_WEIGHTS)), float(f))
+    return load_one_shot(mesh, fq)
+
+
+def inverse_load_one_shot(u, p: float) -> np.ndarray:
+    """Load vector of (max(u, 0) / ||u||_inf)^{p-1} from u's (nt, nq)
+    quadrature values, mapped in place."""
+    f = quad_values_one_shot(u)
+    np.maximum(f, 0.0, out=f)
+    f /= np.max(np.abs(u.coeffs))
+    f **= p - 1.0
+    return load_one_shot(u.mesh, f)
+
+
+def element_lp_one_shot(u, p: float) -> np.ndarray:
+    """int_T |u|^p for every triangle, (nt,), from u's (nt, nq) quadrature
+    values."""
+    vals = quad_values_one_shot(u)
+    np.abs(vals, out=vals)
+    vals **= p
+    return u.mesh.areas * (vals @ fem.DEGREE5_WEIGHTS)
 
 
 def solve_dirichlet_dense(K, b, boundary) -> np.ndarray:

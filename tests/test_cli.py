@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import plapeig
-from plapeig import io, plap
+from plapeig import driver, io, plap
 from plapeig.cli import UsageError, main, parse_cli
 from plapeig.driver import AfemConfig
 from plapeig.mesh import Mesh, generate_unit_square
@@ -129,6 +129,20 @@ class TestMain:
         assert main(["run", "--p", "0.5", "--domain", "square",
                      "--out", "o/"]) == 1
         assert "--p" in capsys.readouterr().err
+
+    def test_out_of_memory_is_usage_error(self, tmp_path, capsys,
+                                          monkeypatch):
+        # what NumPy raises for a --resolution whose grid cannot be held
+        def huge(n):
+            raise MemoryError(f"Unable to allocate 149. GiB for n={n}")
+
+        monkeypatch.setattr(driver, "generate_unit_square", huge)
+        code = main(["run", "--domain", "square", "--resolution", "100000",
+                     "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "usage error: out of memory: Unable to allocate 149. GiB" in err
+        assert "Traceback" not in err
 
     def test_bad_domain_exit_code(self, tmp_path, capsys):
         assert main(["run", "--domain", "blob",

@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from plapeig import fem, plap
 from plapeig.fem import DEGREE5_POINTS, DEGREE5_WEIGHTS, P1Function
-from plapeig.mesh import generate_disk, generate_lshape, generate_unit_square, \
-    refine
+from plapeig.mesh import Mesh, generate_disk, generate_lshape, \
+    generate_unit_square, refine
 
 import oracles
 
@@ -110,10 +112,9 @@ class TestRhs:
         assert np.allclose(b, 1.0 / 6.0, atol=1e-15)
 
     def test_linear_load_reference(self, ref_triangle):
-        fx = oracles.values_at_points(ref_triangle.vertices,
-                                      ref_triangle.triangles, DEGREE5_POINTS,
-                                      lambda x, y: x)
-        b = fem.assemble_rhs(ref_triangle, fx)
+        # at p = 2 the inverse load of u = x, whose sup norm is 1, is x
+        u = p1(ref_triangle, ref_triangle.vertices[:, 0])
+        b = fem.inverse_load(u, 2.0)
         # int x phi_0 = int x (1 - x - y) from exact monomial integrals
         exact = (oracles.monomial_integral(1, 0)
                  - oracles.monomial_integral(2, 0)
@@ -130,9 +131,78 @@ class TestRhs:
         assert abs(b.sum()) < 1e-13
 
     def test_field_size_mismatch(self, ref_triangle):
-        for bad in (np.zeros(9), np.zeros(1), np.zeros((1, 3))):
+        # the load is a constant: any array, quadrature values included, is
+        # rejected
+        for bad in (np.zeros(9), np.zeros(1), np.zeros((1, 7)),
+                    np.zeros((1, 3))):
             with pytest.raises(ValueError):
                 fem.assemble_rhs(ref_triangle, bad)
+
+
+def _capped(mesh):
+    """mesh with one more triangle below the boundary edge from vertex 0
+    at (0, 0) to vertex 1 on the x-axis."""
+    h = mesh.vertices[1, 0]
+    return Mesh(np.vstack((mesh.vertices, [[h / 2, -h / 2]])),
+                np.vstack((mesh.triangles, [[0, mesh.num_vertices, 1]])))
+
+
+class TestBlockedQuadrature:
+    """The block-by-block quadrature equals the one product over all
+    triangles bit for bit, on meshes below one block, of exactly one
+    block, one block and one triangle, and several blocks."""
+
+    @pytest.fixture(scope="class", params=["below", "one", "one+1",
+                                           "several"])
+    def mesh(self, request):
+        m = {"below": lambda: generate_unit_square(8),
+             "one": lambda: generate_unit_square(64),
+             "one+1": lambda: _capped(generate_unit_square(64)),
+             "several": lambda: generate_unit_square(100)}[request.param]()
+        nt, block = m.num_triangles, fem.QUAD_BLOCK
+        assert {"below": nt < block, "one": nt == block,
+                "one+1": nt == block + 1,
+                "several": nt > 2 * block}[request.param]
+        return m
+
+    @pytest.fixture(scope="class")
+    def u(self, mesh):
+        # both signs, so max(u, 0) and |u| act on every block
+        rng = np.random.default_rng(11)
+        return p1(mesh, rng.standard_normal(mesh.num_vertices))
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 8.0])
+    def test_element_lp(self, u, p):
+        assert np.array_equal(fem.element_lp(u, p),
+                              oracles.element_lp_one_shot(u, p))
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 8.0])
+    def test_inverse_load(self, u, p):
+        assert np.array_equal(fem.inverse_load(u, p),
+                              oracles.inverse_load_one_shot(u, p))
+
+    @pytest.mark.parametrize("f", [1.0, -2.5])
+    def test_constant_load(self, mesh, f):
+        assert np.array_equal(fem.assemble_rhs(mesh, f),
+                              oracles.constant_load_one_shot(mesh, f))
+
+    def test_peak_below_one_quadrature_array(self):
+        # 16 blocks; one (nt, nq) float64 array of quadrature values would
+        # take 56 nt bytes
+        m = generate_unit_square(256)
+        assert m.num_triangles >= 8 * fem.QUAD_BLOCK
+        u = p1(m, np.random.default_rng(3).standard_normal(m.num_vertices))
+        for call in (lambda: fem.element_lp(u, 3.0),
+                     lambda: fem.inverse_load(u, 3.0),
+                     lambda: fem.assemble_rhs(m, 1.0)):
+            call()  # the mesh's cached areas are not part of the peak
+            tracemalloc.start()
+            try:
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 56 * m.num_triangles
 
 
 class TestDirichletSolve:
