@@ -5,6 +5,12 @@ The mesh format is line-oriented: a header `nv nt`, then nv vertex lines
 `i0 i1 i2` of 0-based vertex indices with the refinement edge opposite i0.
 Floats are written with 17 significant digits, which round-trips IEEE
 doubles exactly.
+
+Float blocks are formatted by one % over the Python floats of tolist():
+far faster than a format call per row, and %.17g gives the digits of
+{:.17g} for every double (-0, nan and inf included).  Integer blocks are
+built as bytes by one NumPy kernel, `_int_rows`, which prints what % of
+"%d" prints.
 """
 
 from __future__ import annotations
@@ -30,17 +36,43 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
+def _int_rows(a: np.ndarray, prefix: bytes) -> bytes:
+    """The bytes of (prefix + "%d " * (k - 1) + "%d\n") * n % tuple(
+    a.ravel().tolist()) for a non-negative (n, k) int array a.  A table
+    holds the label of each number up to a.max(): its digits right-aligned
+    after NUL padding to the width w of the largest, then a space.  The
+    rows gather their labels, the last space of a line becomes the newline,
+    and the padding is dropped."""
+    n, k = a.shape
+    q = np.arange(int(a.max(initial=0)) + 1)
+    w = len(str(q[-1]))
+    lab = np.zeros((len(q), w + 1), dtype=np.uint8)
+    lab[:, w] = ord(" ")
+    for j in range(w):  # the digit of 10**j
+        lab[:, w - 1 - j] = 48 + q % 10
+        q //= 10
+    for j in range(1, w):  # numbers below 10**j have no such digit
+        lab[:10 ** j, w - 1 - j] = 0
+    p = len(prefix)
+    buf = np.empty((n, p + k * (w + 1)), dtype=np.uint8)
+    buf[:, :p] = np.frombuffer(prefix, dtype=np.uint8)
+    buf[:, p:] = np.take(lab, a, axis=0).reshape(n, k * (w + 1))
+    buf[:, -1] = ord("\n")
+    flat = buf.ravel()
+    return flat[flat != 0].tobytes()
+
+
 def save_mesh(mesh: Mesh, path: str) -> None:
-    """Write a mesh in the ASCII format (exact decimal round-trip).  Each
-    block is one % over tolist(), as in `write_vtk`; the flags b ride in
-    the float rows and print through %d."""
+    """Write a mesh in the ASCII format (exact decimal round-trip).  The
+    vertex rows are one % over tolist(), the flags b riding in the float
+    rows and printing through %d; the triangle rows are `_int_rows`."""
     nv, nt = mesh.num_vertices, mesh.num_triangles
     rows = np.column_stack((mesh.vertices, mesh.boundary_vertex))
-    with open(path, "w", encoding="ascii") as fp:
+    with open(path, "wb") as fp:
         fp.writelines([
-            f"{nv} {nt}\n",
-            "%.17g %.17g %d\n" * nv % tuple(rows.ravel().tolist()),
-            "%d %d %d\n" * nt % tuple(mesh.triangles.ravel().tolist()),
+            b"%d %d\n" % (nv, nt),
+            b"%.17g %.17g %d\n" * nv % tuple(rows.ravel().tolist()),
+            _int_rows(mesh.triangles, b""),
         ])
 
 
@@ -122,53 +154,46 @@ def load_mesh(path: str) -> Mesh:
 def write_vtk(mesh: Mesh, u: P1Function | None, path: str,
               blocks: dict | None = None) -> None:
     """Write a legacy ASCII VTK unstructured grid, optionally with a vertex
-    scalar field named u.
+    scalar field named u, which must live on mesh.
 
-    blocks, a dict that the caller keeps across the writes of one run,
-    carries the text of the last POINTS and CELLS blocks from one call to
-    the next.  refine appends vertices, so the POINTS block of a refined
-    mesh starts with that of its parent: when the vertices extend the last
-    ones, only the new rows are formatted, and when the triangles equal the
-    last ones (the eigenfunction written on the final mesh), the CELLS text
-    is reused.  The output is the same as formatting every row afresh.
+    The POINTS and field blocks are one %.17g % over tolist(), the CELLS
+    block is `_int_rows`.  blocks, a dict that the caller keeps across the
+    writes of one run, carries the vertices and POINTS text of the last
+    call, under "last", to the next.  refine appends vertices, so the
+    POINTS block of a refined mesh starts with that of its parent: when the
+    vertices extend the last ones, only the new rows are formatted.  The
+    output is the same as formatting every row afresh.
     """
     nv, nt = mesh.num_vertices, mesh.num_triangles
-    if u is not None and len(u.coeffs) != nv:
-        raise ValueError("field size does not match the mesh")
-    vertices, triangles = mesh.vertices, mesh.triangles
-    # Each block is formatted by one % over Python floats and ints from
-    # tolist(): far faster than a format call per row, and %.17g gives the
-    # digits of {:.17g} for every double (-0, nan and inf included).
-    done, points, cells = 0, "", None
+    if u is not None and u.mesh is not mesh:
+        raise ValueError("u must live on the given mesh")
+    vertices = mesh.vertices
+    done, points = 0, b""
     if blocks:
-        old_vertices, old_points, old_triangles, old_cells = blocks["last"]
+        old_vertices, old_points = blocks["last"]
         n = len(old_vertices)
         # Compare bit patterns: -0.0 == 0.0, but they print differently.
         if n <= nv and np.array_equal(vertices[:n].view(np.int64),
                                       old_vertices.view(np.int64)):
             done, points = n, old_points
-        if np.array_equal(triangles, old_triangles):
-            cells = old_cells
-    points += ("%.17g %.17g 0\n" * (nv - done)
+    points += (b"%.17g %.17g 0\n" * (nv - done)
                % tuple(vertices[done:].ravel().tolist()))
-    if cells is None:
-        cells = "3 %d %d %d\n" * nt % tuple(triangles.ravel().tolist())
     if blocks is not None:
-        blocks["last"] = (vertices, points, triangles, cells)
+        blocks["last"] = (vertices, points)
     parts = [
-        "# vtk DataFile Version 3.0\nplapeig mesh\nASCII\n"
-        f"DATASET UNSTRUCTURED_GRID\nPOINTS {nv} double\n",
+        b"# vtk DataFile Version 3.0\nplapeig mesh\nASCII\n"
+        b"DATASET UNSTRUCTURED_GRID\nPOINTS %d double\n" % nv,
         points,
-        f"CELLS {nt} {4 * nt}\n",
-        cells,
-        f"CELL_TYPES {nt}\n",
-        "5\n" * nt,
+        b"CELLS %d %d\n" % (nt, 4 * nt),
+        _int_rows(mesh.triangles, b"3 "),
+        b"CELL_TYPES %d\n" % nt,
+        b"5\n" * nt,
     ]
     if u is not None:
-        parts.append(f"POINT_DATA {nv}\nSCALARS u double 1\n"
-                     "LOOKUP_TABLE default\n")
-        parts.append("%.17g\n" * nv % tuple(u.coeffs.tolist()))
-    with open(path, "w", encoding="ascii") as fp:
+        parts.append(b"POINT_DATA %d\nSCALARS u double 1\n"
+                     b"LOOKUP_TABLE default\n" % nv)
+        parts.append(b"%.17g\n" * nv % tuple(u.coeffs.tolist()))
+    with open(path, "wb") as fp:
         fp.writelines(parts)
 
 

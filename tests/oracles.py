@@ -230,6 +230,33 @@ def read_convergence_csv(path: str) -> ConvergenceLog:
     return out
 
 
+def row_by_row_vtk(mesh, u):
+    """The legacy VTK text of write_vtk, formatted one row at a time from
+    NumPy scalars."""
+    nv, nt = mesh.num_vertices, mesh.num_triangles
+    lines = (["# vtk DataFile Version 3.0", "plapeig mesh", "ASCII",
+              "DATASET UNSTRUCTURED_GRID", f"POINTS {nv} double"]
+             + [f"{x:.17g} {y:.17g} 0" for x, y in mesh.vertices]
+             + [f"CELLS {nt} {4 * nt}"]
+             + [f"3 {a} {b} {c}" for a, b, c in mesh.triangles]
+             + [f"CELL_TYPES {nt}"] + ["5"] * nt)
+    if u is not None:
+        lines += ([f"POINT_DATA {nv}", "SCALARS u double 1",
+                   "LOOKUP_TABLE default"]
+                  + [f"{v:.17g}" for v in u.coeffs])
+    return "\n".join(lines) + "\n"
+
+
+def row_by_row_mesh(mesh):
+    """The text of save_mesh, formatted one row at a time from NumPy
+    scalars."""
+    lines = [f"{mesh.num_vertices} {mesh.num_triangles}"]
+    lines += [f"{x:.17g} {y:.17g} {int(b)}"
+              for (x, y), b in zip(mesh.vertices, mesh.boundary_vertex)]
+    lines += [f"{i} {j} {k}" for i, j, k in mesh.triangles]
+    return "\n".join(lines) + "\n"
+
+
 def scatter_assembly(mesh, local):
     """Global (nv, nv) CSR matrix summing the (nt, 3, 3) element matrices,
     by a COO scatter of all 9 nt entries and the duplicate-summing

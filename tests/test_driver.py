@@ -88,6 +88,30 @@ class TestRunAfem:
         assert [r.mu for r in back.rows] == [r.mu for r in log.rows]
         assert [r.vertices for r in back.rows] == [r.vertices for r in log.rows]
 
+    def test_vtk_files_match_row_by_row_text(self, tmp_path, monkeypatch):
+        # the levels share the writer's POINTS reuse, and the eigenfunction
+        # repeats the last mesh: each file must still hold the text of the
+        # mesh and field it was written for, formatted row by row
+        written = []
+        write_vtk = io.write_vtk
+
+        def record(mesh, u, path, blocks=None):
+            written.append((mesh, u, path))
+            write_vtk(mesh, u, path, blocks)
+
+        monkeypatch.setattr(io, "write_vtk", record)
+        out = tmp_path / "results"
+        log = run_afem(AfemConfig(domain="square", resolution=3,
+                                  max_loops=3, out_dir=str(out)))
+        assert len(log.rows) == 4
+        assert [path for _, _, path in written] == (
+            [f"{out}/mesh_{k}.vtk" for k in range(4)]
+            + [f"{out}/eigenfunction.vtk"])
+        assert written[-1][1] is not None
+        for mesh, u, path in written:
+            with open(path, encoding="ascii") as fp:
+                assert fp.read() == oracles.row_by_row_vtk(mesh, u)
+
     def test_eigenfunction_grid_matches_last_mesh(self, tmp_path):
         out = tmp_path / "results"
         cfg = AfemConfig(domain="lshape", resolution=2, eps_k=1e-12,

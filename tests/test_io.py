@@ -11,6 +11,23 @@ from plapeig.mesh import Mesh, MeshConformityError, check_conforming, \
 import oracles
 
 
+#: Vertex counts on both sides of every change of the widest label.
+STRIP_SIZES = [3, 10, 11, 100, 101, 1000, 1001, 10001]
+
+
+def shuffled_strip(nv):
+    """A zigzag strip of nv vertices and nv - 2 counterclockwise triangles,
+    its vertices numbered in a random order, so that rows mix numbers of
+    every width."""
+    i = np.arange(nv)
+    triangles = np.column_stack((i[:-2], i[1:-1], i[2:]))
+    triangles[::2] = triangles[::2, [0, 2, 1]]
+    perm = np.random.default_rng(nv).permutation(nv)
+    vertices = np.empty((nv, 2))
+    vertices[perm] = np.column_stack((i // 2, i % 2))
+    return Mesh(vertices, perm[triangles])
+
+
 class TestMeshRoundTrip:
     def test_square_identity(self, tmp_path):
         m = generate_unit_square(2)
@@ -39,11 +56,16 @@ class TestMeshRoundTrip:
         m = Mesh(vertices=vertices, triangles=m.triangles)
         path = tmp_path / "m.txt"
         save_mesh(m, str(path))
-        ref = [f"{m.num_vertices} {m.num_triangles}"]
-        ref += [f"{x:.17g} {y:.17g} {int(b)}"
-                for (x, y), b in zip(m.vertices, m.boundary_vertex)]
-        ref += [f"{i} {j} {k}" for i, j, k in m.triangles]
-        assert path.read_text() == "\n".join(ref) + "\n"
+        assert path.read_text() == oracles.row_by_row_mesh(m)
+
+    @pytest.mark.parametrize("nv", STRIP_SIZES)
+    def test_triangle_rows_at_every_digit_width(self, tmp_path, nv):
+        m = shuffled_strip(nv)
+        path = tmp_path / "m.txt"
+        save_mesh(m, str(path))
+        data = path.read_bytes()
+        assert b"\0" not in data
+        assert data == oracles.row_by_row_mesh(m).encode()
 
     def test_truncated_file(self, tmp_path):
         m = generate_unit_square(2)
@@ -148,23 +170,6 @@ def parse_legacy_vtk(text: str):
     return np.array(points), np.array(cells), field
 
 
-def row_by_row_vtk(mesh, u):
-    """The legacy VTK text of write_vtk, formatted one row at a time from
-    NumPy scalars."""
-    nv, nt = mesh.num_vertices, mesh.num_triangles
-    lines = (["# vtk DataFile Version 3.0", "plapeig mesh", "ASCII",
-              "DATASET UNSTRUCTURED_GRID", f"POINTS {nv} double"]
-             + [f"{x:.17g} {y:.17g} 0" for x, y in mesh.vertices]
-             + [f"CELLS {nt} {4 * nt}"]
-             + [f"3 {a} {b} {c}" for a, b, c in mesh.triangles]
-             + [f"CELL_TYPES {nt}"] + ["5"] * nt)
-    if u is not None:
-        lines += ([f"POINT_DATA {nv}", "SCALARS u double 1",
-                   "LOOKUP_TABLE default"]
-                  + [f"{v:.17g}" for v in u.coeffs])
-    return "\n".join(lines) + "\n"
-
-
 class TestVtk:
     def test_full_round_trip_through_independent_parser(self, tmp_path):
         m = refine_uniform(generate_disk(2), 1)
@@ -217,20 +222,33 @@ class TestVtk:
                 * 10.0 ** rng.integers(-300, 300, nv))
         vals[:5] = [-0.0, np.nan, np.inf, -np.inf, 5e-324]
         u = P1Function(m, vals)
-        assert row_by_row_vtk(m, u).splitlines()[-nv:][:5] == [
+        assert oracles.row_by_row_vtk(m, u).splitlines()[-nv:][:5] == [
             "-0", "nan", "inf", "-inf", "4.9406564584124654e-324"]
         path = tmp_path / "u.vtk"
         for f in (u, None):
             write_vtk(m, f, str(path))
             text = path.read_text()
             assert text.endswith("\n") and not text.endswith("\n\n")
-            assert text == row_by_row_vtk(m, f)
+            assert text == oracles.row_by_row_vtk(m, f)
+
+    @pytest.mark.parametrize("nv", STRIP_SIZES)
+    def test_cells_at_every_digit_width(self, tmp_path, nv):
+        # the CELLS labels are padded to the width of nv - 1 and the padding
+        # dropped: every width must print as %d does, and no NUL remain
+        m = shuffled_strip(nv)
+        u = P1Function(m, np.random.default_rng(nv).standard_normal(nv))
+        path = tmp_path / "u.vtk"
+        write_vtk(m, u, str(path))
+        data = path.read_bytes()
+        assert b"\0" not in data
+        assert data == oracles.row_by_row_vtk(m, u).encode()
 
     def test_reused_blocks_match_fresh_text(self, tmp_path):
-        # the writer keeps the text of the last POINTS and CELLS blocks; a
-        # refinement extends the vertices, the eigenfunction repeats the
-        # mesh, and a mesh with as many vertices but other coordinates (or
-        # only -0.0 in place of 0.0) or a coarser mesh must not reuse it
+        # the writer keeps the text of the last POINTS block; a refinement
+        # extends the vertices, the eigenfunction repeats the mesh, and a
+        # mesh with as many vertices but other coordinates and triangles
+        # (or only -0.0 in place of 0.0) or a coarser mesh must not reuse
+        # it
         coarse = generate_disk(2)
         fine = refine(coarse, [0, 3, 11])
         u = P1Function(fine, np.linspace(-1.0, 1.0, fine.num_vertices))
@@ -244,15 +262,16 @@ class TestVtk:
                                        (coarse, None)]):
             path = tmp_path / f"m{i}.vtk"
             write_vtk(mesh, f, str(path), blocks)
-            assert path.read_text() == row_by_row_vtk(mesh, f)
+            assert path.read_text() == oracles.row_by_row_vtk(mesh, f)
             assert blocks["last"][0] is mesh.vertices
 
     def test_field_size_checked(self, tmp_path):
+        # a field of another mesh is refused, even one with as many vertices
         m = generate_unit_square(1)
-        other = generate_unit_square(2)
-        u = P1Function(other, np.zeros(other.num_vertices))
-        with pytest.raises(ValueError):
-            write_vtk(m, u, str(tmp_path / "x.vtk"))
+        for other in (generate_unit_square(2), generate_unit_square(1)):
+            u = P1Function(other, np.zeros(other.num_vertices))
+            with pytest.raises(ValueError):
+                write_vtk(m, u, str(tmp_path / "x.vtk"))
 
 
 def make_log(n_rows):
