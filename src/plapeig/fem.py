@@ -19,7 +19,6 @@ fields) are plain (nt, 2) arrays, one 2-vector per triangle.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,8 +96,11 @@ def _load(mesh: Mesh, values, fmap=lambda f: None) -> np.ndarray:
         np.matmul(fq, phi, out=contrib[s])
     fq = None  # the last block dies before the scatter
     contrib *= mesh.areas[:, None]
-    return np.bincount(mesh.triangles.ravel(), weights=contrib.ravel(),
-                       minlength=mesh.num_vertices)
+    # np.add.at sums in the order of np.bincount, but reads the read-only
+    # mesh arrays where np.bincount would copy them
+    b = np.zeros(mesh.num_vertices)
+    np.add.at(b, mesh.triangles.ravel(), contrib.ravel())
+    return b
 
 
 def assemble_stiffness(mesh: Mesh) -> sp.csr_matrix:
@@ -132,17 +134,17 @@ def _edge_form(mesh: Mesh, keep: np.ndarray) -> sp.csr_matrix:
     diag = areas * (gx * gx + gy * gy)
     off = areas * (gx[:, nxt] * gx[:, prv] + gy[:, nxt] * gy[:, prv])
     nv = mesh.num_vertices
-    codes, edge_id, _, _ = mesh.edge_numbering
+    codes, edge_id, _ = mesh.edge_numbering
     lo, hi = np.divmod(codes, nv)
     kept = keep[lo] & keep[hi]
     number = np.cumsum(keep, dtype=np.int32) - 1
     n = int(np.count_nonzero(keep))
     a, b = number[lo[kept]], number[hi[kept]]
     r = np.arange(n, dtype=np.int32)
-    e = np.bincount(edge_id.ravel(), weights=off.ravel(),
-                    minlength=len(codes))[kept]
-    d = np.bincount(mesh.triangles.ravel(), weights=diag.ravel(),
-                    minlength=nv)[keep]
+    e, d = np.zeros(len(codes)), np.zeros(nv)  # summed as in `_load`
+    np.add.at(e, edge_id.ravel(), off.ravel())
+    np.add.at(d, mesh.triangles.ravel(), diag.ravel())
+    e, d = e[kept], d[keep]
     return sp.csr_matrix((np.concatenate((e, d, e)),
                           (np.concatenate((b, r, a)),
                            np.concatenate((a, r, b)))), shape=(n, n))
@@ -168,7 +170,8 @@ def inverse_load(u: P1Function, p: float) -> np.ndarray:
     return _load(u.mesh, u.coeffs, fmap)
 
 
-#: Relative residual every factorized solve is checked against.
+#: Relative residual every solve of the splitting sweep is checked against
+#: (see `plap.DCWorkspace.solve`).
 SOLVE_RTOL = 1e-10
 
 
@@ -177,9 +180,13 @@ class DirichletFactor:
 
     Solves K u = b on interior vertices with u = 0 on boundary vertices:
     one factorization per mesh, then one cheap triangular solve per
-    right-hand side.  `solve` is the one solve path: its load and solution
-    live on the interior vertices, in the order of idx, so a caller holding
-    vertex values gathers and scatters them itself.
+    right-hand side.  Its load and solution live on the interior vertices,
+    in the order of idx, so a caller holding vertex values gathers and
+    scatters them itself.  The factor keeps idx and SuperLU's factors, not
+    the matrix: `solve` is the bare triangular solve, and
+    `plap.DCWorkspace.solve`, the one solve path of the splitting sweep,
+    checks each solution against SOLVE_RTOL through the gradient it takes
+    anyway (K = G^T |T| G on the interior vertices).
 
     The interior block is symmetric positive definite, so SuperLU runs in
     symmetric mode: a minimum-degree ordering of A^T + A and pivots taken
@@ -196,16 +203,14 @@ class DirichletFactor:
     fill.  relax=2 and relax=4 were far slower (18 s and 4.8 s on the last
     level alone), and panels of 3 or 5 columns no faster than one.  On
     uniform meshes the settings are neutral.
-
-    Every solve guarantees a relative residual of at most SOLVE_RTOL on the
-    interior block or raises SolverError carrying the achieved residual.
     """
 
     def __init__(self, A: sp.spmatrix, boundary: np.ndarray):
         """A is the symmetric interior block, its rows and columns those of
         the vertices not flagged in boundary, in ascending order (see
         `interior_stiffness`); a mesh without interior vertices, whose trial
-        space is trivial, is rejected here."""
+        space is trivial, is rejected here.  No reference to A outlives the
+        factorization."""
         boundary = np.asarray(boundary, dtype=bool)
         self.idx = np.nonzero(~boundary)[0]
         if not len(self.idx):
@@ -214,7 +219,7 @@ class DirichletFactor:
         if A.shape != (len(self.idx), len(self.idx)):
             raise ValueError("matrix size must match the interior vertex "
                              "count")
-        self._A = A = sp.csr_matrix(A)
+        A = sp.csr_matrix(A)
         # A is symmetric, so its CSR arrays are those of its CSC form:
         # SuperLU gets them without a copy.
         self._lu = spla.splu(sp.csc_matrix((A.data, A.indices, A.indptr),
@@ -224,21 +229,12 @@ class DirichletFactor:
                              options=dict(SymmetricMode=True))
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        """Interior solution, in the order of idx, for the interior load b."""
+        """Interior solution, in the order of idx, for the interior load b;
+        unchecked (see the class docstring)."""
         if len(b) != len(self.idx):
             raise ValueError("load length must match the interior vertex "
                              "count")
-        b = np.asarray(b, dtype=np.float64)
-        bnorm = math.sqrt(b @ b)
-        if bnorm == 0.0:
-            return np.zeros(len(self.idx))
-        x = self._lu.solve(b)
-        r = b - self._A @ x
-        res = math.sqrt(r @ r) / bnorm
-        if not res <= SOLVE_RTOL:  # a NaN residual fails too
-            raise SolverError(f"factorized solve exceeded residual tolerance: "
-                              f"{res:.3e}", residual=res)
-        return x
+        return self._lu.solve(np.asarray(b, dtype=np.float64))
 
 
 def grad(u: P1Function) -> np.ndarray:

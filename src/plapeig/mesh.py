@@ -133,18 +133,14 @@ class Mesh:
             shape=(2 * nt, self.num_vertices))
 
     @cached_property
-    def edge_numbering(self) -> tuple[np.ndarray, np.ndarray, np.ndarray,
-                                      np.ndarray]:
-        """Global edge numbers: (codes (ne,), edge_id (nt, 3), counts (ne,),
-        order (3 nt,)).
+    def edge_numbering(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Global edge numbers: (codes (ne,), edge_id (nt, 3), counts (ne,)).
 
         Edge e joins vertices codes[e] // nv and codes[e] % nv (smaller index
         first), and codes ascend; edge_id[t, j] numbers the edge of triangle
         t opposite its local vertex j; counts[e] is how many triangles hold
-        edge e (1 on the boundary); order lists the occurrences 3 t + j
-        grouped by edge, in ascending edge and then triangle order.
-        edge_table, check_conforming, refine, boundary_vertex and the matrix
-        assembly of fem all read this.
+        edge e (1 on the boundary).  edge_table, check_conforming, refine,
+        boundary_vertex and the matrix assembly of fem all read this.
         """
         nv = self.num_vertices
         a, b = _edge_arrays(self.triangles)
@@ -159,14 +155,14 @@ class Mesh:
         edge_id = np.empty(len(ordered), dtype=np.int64)
         edge_id[order] = np.cumsum(new) - 1
         edge_id = edge_id.reshape(a.shape)
-        for arr in (codes, edge_id, counts, order):
+        for arr in (codes, edge_id, counts):
             arr.setflags(write=False)
-        return codes, edge_id, counts, order
+        return codes, edge_id, counts
 
     @cached_property
     def boundary_vertex(self) -> np.ndarray:
         """(nv,) bool: the vertex lies on an edge that only one triangle has."""
-        codes, _, counts, _ = self.edge_numbering
+        codes, _, counts = self.edge_numbering
         bnd = codes[counts == 1]
         flags = np.zeros(self.num_vertices, dtype=bool)
         flags[bnd // self.num_vertices] = True
@@ -222,7 +218,7 @@ def check_conforming(mesh: Mesh) -> None:
     """
     mesh.areas
     nv = mesh.num_vertices
-    codes, edge_id, counts, _ = mesh.edge_numbering
+    codes, edge_id, counts = mesh.edge_numbering
     if np.any(counts > 2):
         raise MeshConformityError("an edge is shared by more than two triangles")
 
@@ -246,12 +242,18 @@ def check_conforming(mesh: Mesh) -> None:
 def edge_table(mesh: Mesh) -> EdgeTable:
     """Read the interior edges off `mesh.edge_numbering`.
 
-    Assumes a conforming mesh (see `check_conforming`).  The plus side of an
-    interior edge is the first of its two occurrences in `order`.
+    Assumes a conforming mesh (see `check_conforming`).  The two sides of an
+    interior edge are its occurrences 3 t + j in `edge_id`: the plus side is
+    the first, the minus side the last.
     """
-    _, _, counts, order = mesh.edge_numbering
-    first = (np.cumsum(counts) - counts)[counts == 2]
-    t_plus, j_plus = np.divmod(order[first], 3)
+    _, edge_id, counts = mesh.edge_numbering
+    occurrence = np.arange(edge_id.size)
+    first = np.full(len(counts), edge_id.size)
+    last = np.full(len(counts), -1)
+    np.minimum.at(first, edge_id.ravel(), occurrence)
+    np.maximum.at(last, edge_id.ravel(), occurrence)
+    inner = counts == 2
+    t_plus, j_plus = np.divmod(first[inner], 3)
     # local vertices j + 1 and j + 2 of t, as flat indices into triangles
     tail, head = (np.take(mesh.triangles, 3 * t_plus + (j_plus + k) % 3)
                   for k in (1, 2))
@@ -261,7 +263,7 @@ def edge_table(mesh: Mesh) -> EdgeTable:
     lengths = np.sqrt(ex * ex + ey * ey)
     # Outward normal of the plus triangle: edge vector rotated by -90 degrees.
     normals = np.column_stack((ey, -ex)) / lengths[:, None]
-    return EdgeTable(int_tri_plus=t_plus, int_tri_minus=order[first + 1] // 3,
+    return EdgeTable(int_tri_plus=t_plus, int_tri_minus=last[inner] // 3,
                      int_normals=normals, int_lengths=lengths)
 
 
@@ -337,7 +339,7 @@ def refine(mesh: Mesh, marked) -> Mesh:
     if marked.min() < 0 or marked.max() >= nt:
         raise ValueError(f"marked triangle index out of range [0, {nt})")
 
-    codes, edge_id, counts, _ = mesh.edge_numbering
+    codes, edge_id, counts = mesh.edge_numbering
     n_edges = len(codes)
 
     # Closure fixpoint over split edges: refinement edge is local edge 0.

@@ -130,12 +130,14 @@ def _resolvent_newton(s: np.ndarray, p: float) -> np.ndarray:
     return r
 
 
-def nu_update(w: np.ndarray, p: float) -> np.ndarray:
+def nu_update(w: np.ndarray, p: float,
+              out: np.ndarray | None = None) -> np.ndarray:
     """Solve |nu|^{p-2} nu + nu = w rowwise for the flux field nu.
 
     By radial symmetry nu is parallel to w with magnitude
-    resolvent_many(|w|, p); zero rows stay zero.  nu has the shape and
-    memory layout of w.
+    resolvent_many(|w|, p); zero rows stay zero.  nu is written to out, an
+    array of the shape of w, or else to a new one with the shape and memory
+    layout of w.
     """
     w = np.asarray(w, dtype=np.float64)
     x, y = w[..., 0], w[..., 1]
@@ -143,7 +145,8 @@ def nu_update(w: np.ndarray, p: float) -> np.ndarray:
     # the root of s = 0 is 0, so a zero row keeps scale 0
     scale = resolvent_many(n, p)
     np.divide(scale, n, out=scale, where=n > 0.0)
-    return np.multiply(w, scale[..., None], out=np.empty_like(w))
+    return np.multiply(w, scale[..., None],
+                       out=np.empty_like(w) if out is None else out)
 
 
 @dataclass
@@ -151,9 +154,9 @@ class DCReport:
     """Diagnostics of a decomposition-coordination run.
 
     w is the splitting state of the last plain image T(w), an (nt, 2)
-    field: the start of a follow-up solve on the same mesh, or, through
-    Mesh.parent, on a refinement; consistency(u, w, p) measures it against
-    the returned solution u.
+    field owning its memory: the start of a follow-up solve on the same
+    mesh, or, through Mesh.parent, on a refinement; consistency(u, w, p)
+    measures it against the returned solution u.
     """
 
     iterations: int
@@ -174,13 +177,13 @@ class DCWorkspace:
 
     Trial functions vanish on the boundary, so a sweep needs only their
     interior coefficients, in the order of `factor.idx`.  The workspace
-    holds factor, the factorized interior block of the stiffness matrix,
-    whose `solve` is the one linear solve of every sweep, and weights, the
-    lumped mass int phi_i of every interior vertex, behind the stopping
-    test's L2 norm sqrt(sum_i weights_i x_i^2).  `grad` and g_load apply
-    `Mesh.gradient` and its transpose through a vertex buffer whose
-    boundary entries stay zero; fields are flat, stored component by
-    component to match its rows.
+    holds factor, the LU factor of the interior block of the stiffness
+    matrix, and weights, the lumped mass int phi_i of every interior vertex,
+    behind the stopping test's L2 norm sqrt(sum_i weights_i x_i^2).  `grad`
+    and g_load apply `Mesh.gradient` and its transpose through a vertex
+    buffer whose boundary entries stay zero; fields are flat, stored
+    component by component to match its rows.  `solve` is the one checked
+    linear solve of every sweep.
 
     A workspace serves only the mesh it was built on.
     """
@@ -207,6 +210,27 @@ class DCWorkspace:
         stored component by component, as the sweep keeps them."""
         weighted = (g.reshape(2, -1) * self.mesh.areas).ravel()
         return -(self._div @ weighted)[self._interior]
+
+    def solve(self, load: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(x, gu): the interior solution x of K x = load, by the factor's
+        triangular solve, and its gradient gu = grad(x), the flat field the
+        sweep reads.
+
+        The interior block K is G^T |T| G with G the interior columns of
+        `Mesh.gradient`, so K x = -g_load(gu) and the residual costs one
+        product with the transpose and no stored matrix.  Raises SolverError
+        carrying the relative residual |load + g_load(gu)| / |load| unless
+        it is at most fem.SOLVE_RTOL; a NaN residual fails too.
+        """
+        x = self.factor.solve(load)
+        gu = self.grad(x)
+        r = load + self.g_load(gu)
+        bnorm, rnorm = math.sqrt(load @ load), math.sqrt(r @ r)
+        res = rnorm / bnorm if bnorm else rnorm
+        if not res <= fem.SOLVE_RTOL:
+            raise SolverError(f"factorized solve exceeded residual "
+                              f"tolerance: {res:.3e}", residual=res)
+        return x, gu
 
 
 def random_fields(mesh: Mesh, seed: int = DEFAULT_SEED) -> tuple[np.ndarray, np.ndarray]:
@@ -242,11 +266,12 @@ def dc_solve(mesh: Mesh, f, p: float, eps_n: float = 1e-5, max_iter: int = 500,
     Anderson extrapolate of the earlier images T(w) (see _Anderson), so a
     solve that stops within three sweeps, such as every solve at p = 2, is
     the plain iteration.  One sweep costs one resolvent, one triangular
-    solve with its residual check, one product each with `Mesh.gradient`
-    and its transpose, and a few inner products.  A sweep whose load
-    repeats the last one bit for bit (every sweep after the first at
-    p = 2) reuses the last solution instead of solving.  Nothing is
-    evaluated after the last sweep.
+    solve, one product with `Mesh.gradient` and two with its transpose
+    (the load and the solve's residual check), and a few inner products.
+    A sweep whose load repeats the last one bit for bit (every sweep after
+    the first at p = 2) reuses the last solution instead of solving.
+    Nothing is evaluated after the last sweep.  The fields of a sweep live
+    in buffers allocated once per call and written in place.
     """
     if not 1 < p < math.inf:
         raise ValueError("p must exceed 1 and be finite")
@@ -269,9 +294,17 @@ def dc_solve(mesh: Mesh, f, p: float, eps_n: float = 1e-5, max_iter: int = 500,
     # Fields are flat vectors of length 2 nt stored component by component,
     # the row order of mesh.gradient; v.reshape(2, nt).T is their (nt, 2)
     # view, in Fortran order.  Every field operation of a sweep runs over
-    # contiguous memory and copies no layout.
+    # contiguous memory and copies no layout.  A sweep writes xi and then
+    # T(w) into one buffer, and nu, xi - nu and then the residual T(w) - w
+    # into another; each alternates between two, as the Anderson history
+    # reads the T(w) and residual of the last sweep.  The last T(w) buffer,
+    # an (nt, 2) array in Fortran order, is the report's w.
+    images = [np.empty((nt, 2), order="F") for _ in range(2)]
+    fluxes = [np.empty(2 * nt) for _ in range(2)]
     if init is None:
-        xi, nu = (a.T.ravel() for a in random_fields(mesh, seed))
+        xi, nu = random_fields(mesh, seed)
+        np.copyto(images[1], xi)
+        np.copyto(fluxes[1].reshape(2, nt).T, nu)
         w = None
     else:
         w = np.asarray(init, dtype=np.float64)
@@ -287,19 +320,19 @@ def dc_solve(mesh: Mesh, f, p: float, eps_n: float = 1e-5, max_iter: int = 500,
     converged = False
     while n < max_iter:
         n += 1
+        xi, nu = images[n % 2].ravel("F"), fluxes[n % 2]
         if w is not None:
-            nu = nu_update(w.reshape(2, nt).T, p).T.ravel()
-            xi = w - nu
-        new_load = b_f + ws.g_load(xi - nu)
+            nu_update(w.reshape(2, nt).T, p, out=nu.reshape(2, nt).T)
+            np.subtract(w, nu, out=xi)
+        new_load = b_f + ws.g_load(np.subtract(xi, nu, out=nu))
         # At p = 2 the resolvent halves w, so xi - nu vanishes after every
         # sweep and the next load repeats the last one bit for bit; its
         # solution and gradient are then those of the last sweep.
         if load is None or not np.array_equal(new_load.view(np.int64),
                                               load.view(np.int64)):
             load = new_load
-            x_new = ws.factor.solve(load)
-            gu = ws.grad(x_new)
-        tw = xi + gu
+            x_new, gu = ws.solve(load)
+        tw = np.add(xi, gu, out=xi)
         if n >= 2:
             d = x_new - x
             diff = math.sqrt(d @ (ws.weights * d))
@@ -310,7 +343,7 @@ def dc_solve(mesh: Mesh, f, p: float, eps_n: float = 1e-5, max_iter: int = 500,
                 break
         x = x_new
         # the history starts at sweep 2, also from a given start
-        w = tw if n == 1 else accel.step(tw, tw - w)
+        w = tw if n == 1 else accel.step(tw, np.subtract(tw, w, out=nu))
 
     if not converged:
         log.warning("dc_solve hit max_iter=%d at relative change %.3e",
@@ -319,7 +352,7 @@ def dc_solve(mesh: Mesh, f, p: float, eps_n: float = 1e-5, max_iter: int = 500,
     coeffs = np.zeros(mesh.num_vertices)
     coeffs[ws.factor.idx] = x_new
     report = DCReport(iterations=n, rel_change=float(rel_change),
-                      converged=converged, w=tw.reshape(2, nt).T)
+                      converged=converged, w=images[n % 2])
     return P1Function(mesh, coeffs), report
 
 
@@ -346,17 +379,20 @@ class _Anderson:
     g - dG gamma, where the columns of dF and dG are the last
     ANDERSON_MEMORY differences of consecutive residuals and images, and
     gamma minimizes |f - dF gamma| in the area-weighted inner product
-    sum_T |T| a_T . b_T.  The weighted differences W dF and dG live in
-    buffers allocated at the first difference, and the Gram matrix
-    dF^T W dF in an ANDERSON_MEMORY x ANDERSON_MEMORY array whose row and
-    column of the newest difference are rewritten per step (see
-    _gram_solve).  If it is numerically singular or the extrapolate is
-    not finite, step returns g and clears the differences.
+    sum_T |T| a_T . b_T.  The weighted differences W dF and dG and the
+    extrapolate live in buffers allocated at the first difference, and the
+    Gram matrix dF^T W dF in an ANDERSON_MEMORY x ANDERSON_MEMORY array
+    whose row and column of the newest difference are rewritten per step
+    (see _gram_solve).  If it is numerically singular or the extrapolate is
+    not finite, step returns g and clears the differences.  The history
+    reads the g and f of the last step, so the caller leaves them unchanged
+    until the next; an extrapolate is a buffer that the next step rewrites.
     """
 
     def __init__(self, areas: np.ndarray):
         self._areas = areas
-        self._wdf = self._dg = None  # allocated at the first difference
+        # allocated at the first difference
+        self._wdf = self._dg = self._w = None
         self._gram = np.zeros((ANDERSON_MEMORY, ANDERSON_MEMORY))
         self.depth = 0
         self._slot = 0
@@ -371,8 +407,10 @@ class _Anderson:
     def _add_differences(self, g: np.ndarray, f: np.ndarray) -> None:
         if self._wdf is None:
             self._wdf, self._dg = np.empty((2, ANDERSON_MEMORY, len(f)))
+            self._w = np.empty(len(f))
         j = self._slot
-        df = f - self._last[1]
+        # the last extrapolate is spent: its buffer takes the difference
+        df = np.subtract(f, self._last[1], out=self._w)
         np.multiply(df.reshape(2, -1), self._areas,
                     out=self._wdf[j].reshape(2, -1))
         np.subtract(g, self._last[0], out=self._dg[j])
@@ -386,7 +424,8 @@ class _Anderson:
         gamma = _gram_solve(self._gram, self._wdf[:k] @ f)
         if gamma is not None:
             with np.errstate(all="ignore"):
-                w = g - np.dot(gamma, self._dg[:k])
+                w = np.subtract(g, np.dot(gamma, self._dg[:k], out=self._w),
+                                out=self._w)
             if np.isfinite(w).all():
                 return w
         self.depth = 0

@@ -104,6 +104,8 @@ class TestIISS:
         m = generate_unit_square(6)
         res = eigen.iiss(m, 3.0)
         assert res.w.shape == (m.num_triangles, 2)
+        # no view of the splitting solve's buffers, which die with the call
+        assert res.w.flags.owndata
 
     def test_coarse_fields_warm_start_the_refined_solve(self):
         coarse = generate_unit_square(8)

@@ -263,14 +263,18 @@ class TestEdgeTable:
         refine(generate_disk(2), [1, 4, 9, 20]),
     ])
     def test_one_sort_matches_unique_and_two_sorts(self, mesh):
-        codes, edge_id, counts, order = mesh.edge_numbering
+        codes, edge_id, counts = mesh.edge_numbering
         ref = oracles.edge_numbering_unique(mesh)
         for got, want in zip((codes, edge_id, counts), ref):
             assert got.dtype == want.dtype
             assert np.array_equal(got, want)
-        assert np.array_equal(order, np.argsort(edge_id.ravel(),
-                                                kind="stable"))
         et = edge_table(mesh)
+        # the plus and minus sides are the first and second occurrence of
+        # each interior edge in a stable sort of the edge numbers
+        order = np.argsort(edge_id.ravel(), kind="stable")
+        first = (np.cumsum(counts) - counts)[counts == 2]
+        assert np.array_equal(et.int_tri_plus, order[first] // 3)
+        assert np.array_equal(et.int_tri_minus, order[first + 1] // 3)
         got = (et.int_tri_plus, et.int_tri_minus, et.int_normals,
                et.int_lengths)
         for g, want in zip(got, oracles.interior_edges_two_sorts(mesh)[1:]):

@@ -1,9 +1,12 @@
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 
 from plapeig import fem, plap
 from plapeig.fem import SolverError
-from plapeig.mesh import Mesh, generate_disk, generate_lshape, \
+from plapeig.mesh import Mesh, edge_table, generate_disk, generate_lshape, \
     generate_unit_square, refine
 
 import oracles
@@ -162,6 +165,7 @@ class TestDCSolve:
         assert np.array_equal(u1.coeffs, u2.coeffs)
         assert np.array_equal(r1.w, r2.w)
         assert r1.iterations == r2.iterations
+        assert r1.w.flags.owndata and r1.w.shape == (m.num_triangles, 2)
 
     def test_seed_changes_trajectory_not_limit(self):
         m = generate_unit_square(6)
@@ -455,26 +459,84 @@ class TestDCWorkspace:
     ], ids=["square", "lshape", "disk"])
     def test_blocks_match_sliced_full_matrices(self, mesh, monkeypatch):
         # the interior stiffness block, assembled directly, is bit for bit
-        # the slice of the full matrix, and SuperLU gets its CSR arrays as
-        # the arrays of its CSC form
-        handed = []
-        splu = fem.spla.splu
+        # the slice of the full matrix, SuperLU gets its CSR arrays as the
+        # arrays of its CSC form, and the block dies with the factorization
+        assembled, handed = [], []
+        interior_stiffness, splu = fem.interior_stiffness, fem.spla.splu
+
+        def assemble(m):
+            A = interior_stiffness(m)
+            assembled.append((weakref.ref(A), A.format,
+                              [getattr(A, name).__array_interface__["data"]
+                               for name in ("data", "indices", "indptr")]))
+            return A
+        monkeypatch.setattr(fem, "interior_stiffness", assemble)
         monkeypatch.setattr(fem.spla, "splu",
                             lambda A, **kw: handed.append(A) or splu(A, **kw))
         ws = plap.DCWorkspace(mesh)
         stiffness, _ = oracles.interior_blocks(mesh)
+        ((block, block_format, block_memory),) = assembled
         (lu_input,) = handed
-        for got, ref in ((ws.factor._A, stiffness),
-                         (lu_input, stiffness.tocsc())):
-            assert got.format == ref.format
-            assert np.array_equal(got.data.view(np.int64),
-                                  ref.data.view(np.int64))
-            assert np.array_equal(got.indices, ref.indices)
-            assert np.array_equal(got.indptr, ref.indptr)
-        # no copy for SuperLU
-        for name in ("data", "indices", "indptr"):
-            assert np.shares_memory(getattr(lu_input, name),
-                                    getattr(ws.factor._A, name))
+        assert block() is None and ws.factor._lu is not None
+        assert block_format == stiffness.format
+        ref = stiffness.tocsc()
+        assert lu_input.format == ref.format
+        assert np.array_equal(lu_input.data.view(np.int64),
+                              ref.data.view(np.int64))
+        assert np.array_equal(lu_input.indices, ref.indices)
+        assert np.array_equal(lu_input.indptr, ref.indptr)
+        # the CSC arrays are those of the slice of the full matrix, and no
+        # copy of the assembled block's: the same memory
+        assert np.array_equal(lu_input.data.view(np.int64),
+                              stiffness.data.view(np.int64))
+        assert np.array_equal(lu_input.indices, stiffness.indices)
+        assert np.array_equal(lu_input.indptr, stiffness.indptr)
+        assert block_memory == [getattr(lu_input, name)
+                                .__array_interface__["data"]
+                                for name in ("data", "indices", "indptr")]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_load_is_solver_error(self, bad):
+        # a NaN residual fails the tolerance test: no NaN or inf returned
+        ws = plap.DCWorkspace(generate_unit_square(6))
+        n = len(ws.factor.idx)
+        for b in (np.full(n, bad), np.where(np.arange(n) == 3, bad, 1.0)):
+            with pytest.raises(SolverError, match="residual tolerance"):
+                ws.solve(b)
+
+    def test_residual_check_is_live(self, monkeypatch):
+        # the check reads the solution through the sweep's gradient: a
+        # factor whose solve is off by a relative 1e-8 is caught
+        m = generate_unit_square(8)
+        ws = plap.DCWorkspace(m)
+        load = fem.assemble_rhs(m, 1.0)[ws.factor.idx]
+        x, gu = ws.solve(load)
+        assert np.array_equal(gu, ws.grad(x))
+        solve = fem.DirichletFactor.solve
+        monkeypatch.setattr(fem.DirichletFactor, "solve",
+                            lambda self, b: solve(self, b) * (1.0 + 1e-8))
+        with pytest.raises(SolverError, match="residual tolerance") as err:
+            ws.solve(load)
+        assert 1e-9 < err.value.residual < 1e-7
+        with pytest.raises(SolverError, match="residual tolerance"):
+            plap.dc_solve(m, 1.0, 3.0, workspace=ws)
+
+    def test_retained_memory_per_triangle(self):
+        # what a level keeps while its factor lives, beyond SuperLU's own
+        # factors (allocated outside Python's tracer): the mesh's cached
+        # arrays, the workspace and the edge table, 209 bytes per triangle;
+        # a copy of the stiffness block or the sorted occurrences of the
+        # edges would add 43 and 24
+        m = generate_unit_square(256)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            ws, et = plap.DCWorkspace(m), edge_table(m)
+            kept = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert ws.factor is not None and len(et.int_lengths)
+        assert kept < 224 * m.num_triangles
 
     def test_no_interior_vertices_rejected(self):
         with pytest.raises(ValueError, match="no interior vertices"):
