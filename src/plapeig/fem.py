@@ -25,7 +25,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .mesh import Mesh
+from .mesh import INDEX, Mesh
 
 
 class SolverError(RuntimeError):
@@ -137,10 +137,10 @@ def _edge_form(mesh: Mesh, keep: np.ndarray) -> sp.csr_matrix:
     codes, edge_id, _ = mesh.edge_numbering
     lo, hi = np.divmod(codes, nv)
     kept = keep[lo] & keep[hi]
-    number = np.cumsum(keep, dtype=np.int32) - 1
+    number = np.cumsum(keep, dtype=INDEX) - 1
     n = int(np.count_nonzero(keep))
     a, b = number[lo[kept]], number[hi[kept]]
-    r = np.arange(n, dtype=np.int32)
+    r = np.arange(n, dtype=INDEX)
     e, d = np.zeros(len(codes)), np.zeros(nv)  # summed as in `_load`
     np.add.at(e, edge_id.ravel(), off.ravel())
     np.add.at(d, mesh.triangles.ravel(), diag.ravel())
@@ -181,8 +181,9 @@ class DirichletFactor:
     Solves K u = b on interior vertices with u = 0 on boundary vertices:
     one factorization per mesh, then one cheap triangular solve per
     right-hand side.  Its load and solution live on the interior vertices,
-    in the order of idx, so a caller holding vertex values gathers and
-    scatters them itself.  The factor keeps idx and SuperLU's factors, not
+    in the order of idx, the ascending INDEX numbers of the vertices off
+    the boundary, so a caller holding vertex values gathers and scatters
+    them itself.  The factor keeps idx and SuperLU's factors, not
     the matrix: `solve` is the bare triangular solve, and
     `plap.DCWorkspace.solve`, the one solve path of the splitting sweep,
     checks each solution against SOLVE_RTOL through the gradient it takes
@@ -212,7 +213,7 @@ class DirichletFactor:
         space is trivial, is rejected here.  No reference to A outlives the
         factorization."""
         boundary = np.asarray(boundary, dtype=bool)
-        self.idx = np.nonzero(~boundary)[0]
+        self.idx = np.arange(len(boundary), dtype=INDEX)[~boundary]
         if not len(self.idx):
             raise ValueError("mesh has no interior vertices; the trial space "
                              "is trivial")

@@ -20,7 +20,7 @@ from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
-from .mesh import Mesh, check_conforming
+from .mesh import INDEX, Mesh, check_conforming
 from .fem import P1Function
 
 
@@ -120,7 +120,7 @@ def load_mesh(path: str) -> Mesh:
             raise MeshFormatError("boundary flag must be 0 or 1", lineno)
         boundary[i] = parts[2] == "1"
 
-    triangles = np.empty((nt, 3), dtype=np.int64)
+    triangles = np.empty((nt, 3), dtype=INDEX)
     for i in range(nt):
         lineno = 2 + nv + i
         parts = raw[lineno - 1].split()

@@ -20,6 +20,16 @@ import numpy as np
 import scipy.sparse as sp
 
 
+#: The one index type of the mesh layer: vertex, triangle and edge numbers,
+#: in the fields of `Mesh`, its gradient and edge numbering, `EdgeTable`,
+#: and fem's interior numbering (`DirichletFactor.idx`, the stiffness
+#: block).  int32 addresses every mesh that fits in memory at half the
+#: bytes of int64.  The edge codes lo * nv + hi of `Mesh.edge_numbering`
+#: stay int64: they pass 2**31 once nv > 46,340.
+INDEX = np.dtype(np.int32)
+_INDEX_MAX = int(np.iinfo(INDEX).max)
+
+
 class MeshConformityError(ValueError):
     """Raised when a triangulation is not a conforming 2-manifold mesh."""
 
@@ -29,17 +39,20 @@ class Mesh:
     """Immutable triangulation; per-mesh data is derived on first use.
 
     vertices        (nv, 2) float64 coordinates
-    triangles       (nt, 3) int64, counterclockwise, refinement edge opposite
+    triangles       (nt, 3) INDEX, counterclockwise, refinement edge opposite
                     local vertex 0
-    parent          (nt,) int64 index of the ancestor triangle in the mesh
+    parent          (nt,) INDEX index of the ancestor triangle in the mesh
                     that was refined to produce this one; -1 (the default)
                     for root meshes
     snap_to_unit_circle  boundary vertices created by refinement are pushed
                     radially onto the unit circle (disk meshes)
-    vertex_parents  (nv, 2) int64 endpoint indices of the edge whose midpoint
+    vertex_parents  (nv, 2) INDEX endpoint indices of the edge whose midpoint
                     created each vertex; (-1, -1) (the default) for original
                     vertices
 
+    The index fields may be given in any integer type: each is checked
+    against its range in that type, so no entry wraps when it is stored as
+    INDEX, and a mesh whose counts INDEX cannot address is rejected.
     Areas, basis gradients and the gradient operator, the edge numbering
     and the boundary flags are cached read-only properties of these fields.
     """
@@ -51,25 +64,36 @@ class Mesh:
     vertex_parents: np.ndarray = field(default=None, repr=False)  # type: ignore[assignment]
 
     def __post_init__(self):
-        v = np.ascontiguousarray(self.vertices, dtype=np.float64)
-        t = np.ascontiguousarray(self.triangles, dtype=np.int64)
+        # shapes and ranges are checked in the given types, before any copy
+        v, t = np.asarray(self.vertices), np.asarray(self.triangles)
         if v.ndim != 2 or v.shape[1] != 2:
             raise ValueError("vertices must have shape (nv, 2)")
         if t.ndim != 2 or t.shape[1] != 3:
             raise ValueError("triangles must have shape (nt, 3)")
+        nv, nt = len(v), len(t)
+        # the 6 nt entries of `gradient` are the longest index range; the
+        # 3 nt edge occurrences and at most 3 nt edges come below
+        if nv > _INDEX_MAX or 6 * nt > _INDEX_MAX:
+            raise ValueError(f"{nv} vertices and {nt} triangles exceed the "
+                             f"{INDEX} index range of a mesh")
         p, vp = self.parent, self.vertex_parents
-        p = (np.full(len(t), -1, dtype=np.int64) if p is None
-             else np.ascontiguousarray(p, dtype=np.int64))
-        vp = (np.full((len(v), 2), -1, dtype=np.int64) if vp is None
-              else np.ascontiguousarray(vp, dtype=np.int64))
-        if p.shape != (len(t),):
+        p = np.full(nt, -1, dtype=INDEX) if p is None else np.asarray(p)
+        vp = (np.full((nv, 2), -1, dtype=INDEX) if vp is None
+              else np.asarray(vp))
+        if p.shape != (nt,):
             raise ValueError("parent length must match triangle count")
-        if vp.shape != (len(v), 2):
+        if vp.shape != (nv, 2):
             raise ValueError("vertex_parents must have shape (nv, 2)")
-        if len(t) and (t.min() < 0 or t.max() >= len(v)):
-            raise ValueError("triangle vertex index out of range")
-        for arr, name in ((v, "vertices"), (t, "triangles"), (p, "parent"),
-                          (vp, "vertex_parents")):
+        # phrased so that a NaN fails
+        for arr, lo, hi, what in ((t, 0, nv - 1, "triangle vertex index"),
+                                  (p, -1, _INDEX_MAX, "parent index"),
+                                  (vp, -1, nv - 1, "vertex_parents entry")):
+            if arr.size and not (arr.min() >= lo and arr.max() <= hi):
+                raise ValueError(f"{what} out of range [{lo}, {hi}]")
+        for arr, name, dtype in ((v, "vertices", np.float64),
+                                 (t, "triangles", INDEX), (p, "parent", INDEX),
+                                 (vp, "vertex_parents", INDEX)):
+            arr = np.ascontiguousarray(arr, dtype=dtype)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -128,32 +152,38 @@ class Mesh:
         nt = self.num_triangles
         return sp.csr_matrix(
             (self.basis_gradients.transpose(2, 0, 1).ravel(),
-             np.tile(self.triangles.astype(np.int32).ravel(), 2),
-             np.arange(0, 6 * nt + 1, 3, dtype=np.int32)),
+             np.tile(self.triangles.ravel(), 2),
+             np.arange(0, 6 * nt + 1, 3, dtype=INDEX)),
             shape=(2 * nt, self.num_vertices))
 
     @cached_property
     def edge_numbering(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Global edge numbers: (codes (ne,), edge_id (nt, 3), counts (ne,)).
+        """Global edge numbers: (codes (ne,) int64, edge_id (nt, 3) INDEX,
+        counts (ne,) INDEX).
 
         Edge e joins vertices codes[e] // nv and codes[e] % nv (smaller index
-        first), and codes ascend; edge_id[t, j] numbers the edge of triangle
+        first), and codes ascend; they are int64, as lo * nv + hi outgrows
+        INDEX once nv > 46,340.  edge_id[t, j] numbers the edge of triangle
         t opposite its local vertex j; counts[e] is how many triangles hold
         edge e (1 on the boundary).  edge_table, check_conforming, refine,
         boundary_vertex and the matrix assembly of fem all read this.
         """
         nv = self.num_vertices
         a, b = _edge_arrays(self.triangles)
-        flat = (np.minimum(a, b) * nv + np.maximum(a, b)).ravel()
+        flat = np.minimum(a, b).astype(np.int64).ravel()  # outgrows INDEX
+        flat *= nv
+        flat += np.maximum(a, b).ravel()
         # One stable sort yields the codes and the grouped occurrences.
         order, ordered = _stable_sort(flat, nv * nv)
         new = np.empty(len(ordered), dtype=bool)
         new[:1] = True
         np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
         codes = ordered[new]
-        counts = np.diff(np.flatnonzero(new), append=len(ordered))
-        edge_id = np.empty(len(ordered), dtype=np.int64)
-        edge_id[order] = np.cumsum(new) - 1
+        start = np.flatnonzero(np.append(new, True))
+        counts = np.subtract(start[1:], start[:-1], dtype=INDEX,
+                             casting="same_kind")
+        edge_id = np.empty(len(ordered), dtype=INDEX)
+        edge_id[order] = np.cumsum(new, dtype=INDEX) - 1
         edge_id = edge_id.reshape(a.shape)
         for arr in (codes, edge_id, counts):
             arr.setflags(write=False)
@@ -176,12 +206,13 @@ class EdgeTable:
     """Interior edges of a conforming mesh.
 
     Interior edge i is held by triangles int_tri_plus[i] and
-    int_tri_minus[i]; int_normals[i] is its unit normal pointing from the
-    plus triangle into the minus one, and int_lengths[i] its length.
+    int_tri_minus[i], INDEX triangle numbers; int_normals[i] is its unit
+    normal pointing from the plus triangle into the minus one, and
+    int_lengths[i] its length.
     """
 
-    int_tri_plus: np.ndarray   # (ne_i,) int
-    int_tri_minus: np.ndarray  # (ne_i,) int
+    int_tri_plus: np.ndarray   # (ne_i,) INDEX
+    int_tri_minus: np.ndarray  # (ne_i,) INDEX
     int_normals: np.ndarray    # (ne_i, 2) float
     int_lengths: np.ndarray    # (ne_i,) float
 
@@ -247,9 +278,9 @@ def edge_table(mesh: Mesh) -> EdgeTable:
     the first, the minus side the last.
     """
     _, edge_id, counts = mesh.edge_numbering
-    occurrence = np.arange(edge_id.size)
-    first = np.full(len(counts), edge_id.size)
-    last = np.full(len(counts), -1)
+    occurrence = np.arange(edge_id.size, dtype=INDEX)
+    first = np.full(len(counts), edge_id.size, dtype=INDEX)
+    last = np.full(len(counts), -1, dtype=INDEX)
     np.minimum.at(first, edge_id.ravel(), occurrence)
     np.maximum.at(last, edge_id.ravel(), occurrence)
     inner = counts == 2
@@ -281,10 +312,12 @@ def _grid(cells: int, extent: float, keep) -> Mesh:
     sw = row * (cells + 1) + col
     nw = sw + cells + 1
     corners = np.column_stack((sw + 1, nw + 1, sw, nw, sw, nw + 1))
-    used, triangles = np.unique(corners, return_inverse=True)
-    row, col = np.divmod(used, cells + 1)
+    used = np.zeros((cells + 1) ** 2, dtype=bool)
+    used[corners] = True
+    number = np.cumsum(used, dtype=INDEX) - 1
+    row, col = np.divmod(np.flatnonzero(used), cells + 1)
     return Mesh(np.column_stack((ticks[col], ticks[row])),
-                triangles.reshape(-1, 3))
+                number[corners].reshape(-1, 3))
 
 
 def generate_unit_square(n: int) -> Mesh:
@@ -311,7 +344,8 @@ def generate_disk(levels: int) -> Mesh:
         raise ValueError("levels must be nonnegative")
     ang = np.arange(6) * (np.pi / 3.0)
     vertices = np.vstack(([0.0, 0.0], np.column_stack((np.cos(ang), np.sin(ang)))))
-    tris = [(0, 1 + k, 1 + (k + 1) % 6) for k in range(6)]  # chord opposite center
+    tris = np.array([(0, 1 + k, 1 + (k + 1) % 6) for k in range(6)],
+                    dtype=INDEX)  # chord opposite center
     return refine_uniform(Mesh(vertices, tris, snap_to_unit_circle=True),
                           levels)
 
@@ -354,11 +388,13 @@ def refine(mesh: Mesh, marked) -> Mesh:
         split[e0[need]] = True
 
     split_ids = np.nonzero(split)[0]
-    midpoint_of = np.full(n_edges, -1, dtype=np.int64)
-    midpoint_of[split_ids] = nv + np.arange(len(split_ids))
+    if nv + len(split_ids) > _INDEX_MAX:  # before numbering the midpoints
+        raise ValueError(f"refinement would make {nv + len(split_ids)} "
+                         f"vertices, beyond the {INDEX} index range")
+    midpoint_of = np.full(n_edges, -1, dtype=INDEX)
+    midpoint_of[split_ids] = np.arange(nv, nv + len(split_ids), dtype=INDEX)
 
-    ea = codes[split_ids] // nv
-    eb = codes[split_ids] % nv
+    ea, eb = np.divmod(codes[split_ids], nv)
     new_pts = 0.5 * (np.take(mesh.vertices, ea, axis=0)
                      + np.take(mesh.vertices, eb, axis=0))
     new_bnd = counts[split_ids] == 1  # midpoints of boundary edges
@@ -368,7 +404,7 @@ def refine(mesh: Mesh, marked) -> Mesh:
 
     vertices = np.vstack((mesh.vertices, new_pts))
     vertex_parents = np.vstack((mesh.vertex_parents,
-                                np.column_stack((ea, eb))))
+                                np.column_stack((ea, eb))), dtype=INDEX)
 
     tri = mesh.triangles
     v0, v1, v2 = tri[:, 0], tri[:, 1], tri[:, 2]
@@ -379,7 +415,7 @@ def refine(mesh: Mesh, marked) -> Mesh:
     if np.any((s1 | s2) & ~s0):
         raise AssertionError("closure failed to split a refinement edge")
 
-    anc = np.arange(nt, dtype=np.int64)
+    anc = np.arange(nt, dtype=INDEX)
 
     chunks_tri, chunks_par = [], []
 

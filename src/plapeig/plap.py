@@ -192,9 +192,11 @@ class DCWorkspace:
         self.mesh = mesh
         self.factor = DirichletFactor(fem.interior_stiffness(mesh),
                                       mesh.boundary_vertex)
-        self.weights = fem.assemble_rhs(mesh, 1.0)[self.factor.idx]
+        # the vertices of factor.idx; a mask gathers and scatters them
+        # without casting idx to intp
+        self._interior = ~mesh.boundary_vertex
+        self.weights = fem.assemble_rhs(mesh, 1.0)[self._interior]
         self._vertex_values = np.zeros(mesh.num_vertices)
-        self._interior = ~mesh.boundary_vertex  # the vertices of factor.idx
         self._div = mesh.gradient.T  # a view; forming one per call is slow
 
     def grad(self, x: np.ndarray) -> np.ndarray:
@@ -312,7 +314,7 @@ def dc_solve(mesh: Mesh, f, p: float, eps_n: float = 1e-5, max_iter: int = 500,
             raise ValueError("init must have one 2-vector per triangle")
         w = w.T.ravel()
 
-    b_f = f[ws.factor.idx]
+    b_f = f[ws._interior]
     accel = _Anderson(mesh.areas)
     x = load = None
     n = 0
@@ -350,7 +352,7 @@ def dc_solve(mesh: Mesh, f, p: float, eps_n: float = 1e-5, max_iter: int = 500,
                     max_iter, rel_change)
 
     coeffs = np.zeros(mesh.num_vertices)
-    coeffs[ws.factor.idx] = x_new
+    coeffs[ws._interior] = x_new
     report = DCReport(iterations=n, rel_change=float(rel_change),
                       converged=converged, w=images[n % 2])
     return P1Function(mesh, coeffs), report

@@ -331,8 +331,10 @@ def field_load_loop(mesh, g):
 
 def edge_numbering_unique(mesh):
     """(codes, edge_id, counts) of the edges by np.unique over the vertex
-    pairs, smaller index first, of the edge opposite each local vertex."""
-    tri = mesh.triangles
+    pairs, smaller index first, of the edge opposite each local vertex.  The
+    codes are formed in int64 whatever the index type of the mesh: in int32
+    they would wrap once nv > 46,340."""
+    tri = mesh.triangles.astype(np.int64)
     a, b = tri[:, [1, 2, 0]], tri[:, [2, 0, 1]]
     flat = np.minimum(a, b) * mesh.num_vertices + np.maximum(a, b)
     codes, inverse, counts = np.unique(flat.ravel(), return_inverse=True,

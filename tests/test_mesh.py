@@ -1,9 +1,13 @@
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from plapeig.mesh import (Mesh, MeshConformityError, _stable_sort,
+from plapeig import mesh as mesh_module
+from plapeig.fem import DirichletFactor, interior_stiffness
+from plapeig.io import load_mesh, save_mesh
+from plapeig.mesh import (INDEX, Mesh, MeshConformityError, _stable_sort,
                           check_conforming, edge_table, generate_disk,
                           generate_lshape, generate_unit_square,
                           prolong_vertex_values, refine, refine_uniform)
@@ -261,12 +265,15 @@ class TestEdgeTable:
         refine(refine_uniform(generate_unit_square(3), 1), [0, 7, 20]),
         refine(refine(generate_lshape(2), [3, 11]), [0, 2, 20]),
         refine(generate_disk(2), [1, 4, 9, 20]),
+        # 47,089 vertices: lo * nv + hi passes 2**31 on the top rows
+        generate_unit_square(216),
     ])
     def test_one_sort_matches_unique_and_two_sorts(self, mesh):
         codes, edge_id, counts = mesh.edge_numbering
         ref = oracles.edge_numbering_unique(mesh)
-        for got, want in zip((codes, edge_id, counts), ref):
-            assert got.dtype == want.dtype
+        for got, want, dtype in zip((codes, edge_id, counts), ref,
+                                    (np.int64, INDEX, INDEX)):
+            assert got.dtype == dtype
             assert np.array_equal(got, want)
         et = edge_table(mesh)
         # the plus and minus sides are the first and second occurrence of
@@ -277,9 +284,11 @@ class TestEdgeTable:
         assert np.array_equal(et.int_tri_minus, order[first + 1] // 3)
         got = (et.int_tri_plus, et.int_tri_minus, et.int_normals,
                et.int_lengths)
-        for g, want in zip(got, oracles.interior_edges_two_sorts(mesh)[1:]):
-            assert g.dtype == want.dtype
-            assert np.array_equal(g, want)
+        want = oracles.interior_edges_two_sorts(mesh)[1:]
+        for g, w, dtype in zip(got, want,
+                               (INDEX, INDEX, np.float64, np.float64)):
+            assert g.dtype == dtype
+            assert np.array_equal(g, w)
 
     def test_stable_sort_either_way(self, rng):
         # sorting x * n + index and the stable argsort (taken when those
@@ -377,3 +386,89 @@ class TestSizesAndProlongation:
         for shape in ((3, 2), (m.num_vertices, 3), (m.num_vertices,)):
             with pytest.raises(ValueError, match="vertex_parents"):
                 Mesh(m.vertices, m.triangles, vertex_parents=np.zeros(shape))
+
+
+def _mesh_from_int64(path):
+    m = generate_lshape(2)
+    return Mesh(m.vertices, m.triangles.astype(np.int64),
+                parent=np.arange(m.num_triangles, dtype=np.int64),
+                vertex_parents=m.vertex_parents.astype(np.int64))
+
+
+def _loaded(path):
+    save_mesh(refine(generate_unit_square(3), [0, 5]), path)
+    return load_mesh(path)
+
+
+class TestIndexType:
+    @pytest.mark.parametrize("build", [
+        lambda path: generate_unit_square(3),
+        lambda path: generate_lshape(2),
+        lambda path: generate_disk(1),
+        lambda path: refine(generate_lshape(2), [1, 7]),
+        lambda path: refine_uniform(generate_disk(0), 2),
+        _mesh_from_int64,
+        _loaded,
+    ], ids=["square", "lshape", "disk", "refine", "refine_uniform",
+            "from_int64", "load_mesh"])
+    def test_index_arrays_are_int32(self, build, tmp_path):
+        m = build(str(tmp_path / "m.txt"))
+        assert INDEX == np.int32
+        codes, edge_id, counts = m.edge_numbering
+        et = edge_table(m)
+        factor = DirichletFactor(interior_stiffness(m), m.boundary_vertex)
+        for arr in (m.triangles, m.parent, m.vertex_parents, edge_id, counts,
+                    et.int_tri_plus, et.int_tri_minus, factor.idx,
+                    m.gradient.indices, m.gradient.indptr):
+            assert arr.dtype == INDEX
+        assert codes.dtype == np.int64
+
+    def test_wrapping_triangle_index_rejected(self, ref_triangle):
+        # 2**32 is 0 once cast to int32
+        with pytest.raises(ValueError, match="triangle vertex index out of "
+                                             "range"):
+            Mesh(ref_triangle.vertices, np.array([[2 ** 32, 1, 2]]))
+
+    @pytest.mark.parametrize("value", [2 ** 31, 2 ** 32, -2])
+    def test_wrapping_parent_entries_rejected(self, ref_triangle, value):
+        with pytest.raises(ValueError, match="parent index out of range"):
+            Mesh(ref_triangle.vertices, ref_triangle.triangles,
+                 parent=np.array([value]))
+        vp = np.full((3, 2), -1)
+        vp[2] = (0, value)
+        with pytest.raises(ValueError, match="vertex_parents entry out of "
+                                             "range"):
+            Mesh(ref_triangle.vertices, ref_triangle.triangles,
+                 vertex_parents=vp)
+
+    def test_counts_beyond_int32_rejected(self, ref_triangle):
+        # broadcast views: no array of 2**31 rows is allocated
+        many_vertices = np.broadcast_to(np.zeros(2), (2 ** 31, 2))
+        with pytest.raises(ValueError, match="exceed the int32 index range"):
+            Mesh(many_vertices, ref_triangle.triangles)
+        many_triangles = np.broadcast_to(np.arange(3), (2 ** 31 // 6 + 1, 3))
+        with pytest.raises(ValueError, match="exceed the int32 index range"):
+            Mesh(ref_triangle.vertices, many_triangles)
+
+    def test_refine_checks_the_child_vertex_count(self, monkeypatch):
+        m = generate_unit_square(2)  # 9 vertices, 4 refinement edges
+        monkeypatch.setattr(mesh_module, "_INDEX_MAX", 12)
+        with pytest.raises(ValueError, match="refinement would make 13 "
+                                             "vertices"):
+            refine_uniform(m)
+
+    def test_bytes_per_triangle_with_cached_data(self):
+        # vertices, index fields, areas, basis gradients, the gradient's
+        # indices, the edge numbering and the boundary flags: 147 bytes
+        # per triangle, 185 with int64 index arrays
+        coarse = generate_unit_square(128)
+        marked = np.arange(0, coarse.num_triangles, 3)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            m = refine(coarse, marked)
+            m.areas, m.gradient, m.edge_numbering, m.boundary_vertex
+            kept = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert kept < 170 * m.num_triangles

@@ -524,9 +524,9 @@ class TestDCWorkspace:
     def test_retained_memory_per_triangle(self):
         # what a level keeps while its factor lives, beyond SuperLU's own
         # factors (allocated outside Python's tracer): the mesh's cached
-        # arrays, the workspace and the edge table, 209 bytes per triangle;
-        # a copy of the stiffness block or the sorted occurrences of the
-        # edges would add 43 and 24
+        # arrays, the workspace and the edge table, 177 bytes per triangle
+        # (209 with int64 index arrays); a copy of the stiffness block or
+        # the sorted occurrences of the edges would add 43 and 24
         m = generate_unit_square(256)
         tracemalloc.start()
         try:
@@ -536,7 +536,7 @@ class TestDCWorkspace:
         finally:
             tracemalloc.stop()
         assert ws.factor is not None and len(et.int_lengths)
-        assert kept < 224 * m.num_triangles
+        assert kept < 185 * m.num_triangles
 
     def test_no_interior_vertices_rejected(self):
         with pytest.raises(ValueError, match="no interior vertices"):
